@@ -10,8 +10,7 @@
 //!
 //! Results land in `BENCH_sched_scaling.json` at the repository root (the
 //! tracked perf-trajectory file; override with `--json <path>`), together
-//! with abbreviated model-speed (`speed`) and campaign-throughput
-//! measurements so one file captures the performance state of the tree.
+//! with an abbreviated model-speed (`speed`) measurement.
 //!
 //! Flags:
 //! * `--short` — CI-sized run (fewer depths, fewer requests);
@@ -26,8 +25,7 @@ use std::io::Write as _;
 
 use dramctrl::diff;
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, run_job, timed, Table};
-use dramctrl_campaign::{run_campaign, Campaign, ExecutorConfig, Model, TrafficPattern};
+use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, timed, Table};
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, AddrMapping, MemRequest, ReqId};
@@ -194,42 +192,6 @@ fn main() {
         cy_s / ev_s
     );
 
-    // Abbreviated campaign throughput: 64 simulation jobs, 1 vs 8 workers.
-    let campaign = Campaign::new("sched-scaling-smoke", 2)
-        .models([Model::Event, Model::Cycle])
-        .policies([PagePolicy::Open, PagePolicy::Closed])
-        .scheds([SchedPolicy::Fcfs, SchedPolicy::FrFcfs])
-        .traffic([
-            TrafficPattern::Random {
-                range: 64 << 20,
-                block: 64,
-            },
-            TrafficPattern::DramAware {
-                stride: 4,
-                banks: 8,
-            },
-        ])
-        .read_pcts([50, 100])
-        .requests(if short { [200, 400] } else { [1_000, 2_000] });
-    assert_eq!(campaign.len(), 64);
-    let r1 = run_campaign(
-        &campaign,
-        &ExecutorConfig::default().with_workers(1),
-        run_job,
-    );
-    let r8 = run_campaign(
-        &campaign,
-        &ExecutorConfig::default().with_workers(8),
-        run_job,
-    );
-    assert_eq!(r1.failed() + r8.failed(), 0);
-    println!(
-        "campaign: 64 jobs — {:.1} jobs/s at 1 worker, {:.1} jobs/s at 8 ({:.2}x)",
-        r1.jobs_per_sec(),
-        r8.jobs_per_sec(),
-        r8.jobs_per_sec() / r1.jobs_per_sec()
-    );
-
     // The tracked perf-trajectory file (hand-rolled JSON; no deps).
     let mut json = String::new();
     json.push_str("{\n");
@@ -254,15 +216,8 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"speed\": {{\"requests\": {n_speed}, \"event_s\": {ev_s:.3}, \
-         \"cycle_s\": {cy_s:.3}, \"speedup\": {:.2}}},\n",
+         \"cycle_s\": {cy_s:.3}, \"speedup\": {:.2}}}\n",
         cy_s / ev_s
-    ));
-    json.push_str(&format!(
-        "  \"campaign\": {{\"jobs\": 64, \"jobs_per_sec_1w\": {:.2}, \
-         \"jobs_per_sec_8w\": {:.2}, \"scaling\": {:.2}}}\n",
-        r1.jobs_per_sec(),
-        r8.jobs_per_sec(),
-        r8.jobs_per_sec() / r1.jobs_per_sec()
     ));
     json.push_str("}\n");
     let mut f = std::fs::File::create(&json_path)

@@ -10,11 +10,13 @@
 
 #![warn(missing_docs)]
 
-pub mod runner;
+/// The job runner, which lives in `dramctrl-campaign` next to the
+/// [`JobSpec`](dramctrl_campaign::JobSpec) it runs.
+pub use dramctrl_campaign::runner;
 
 pub use runner::{
-    cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics, run_job,
-    run_job_observed, run_job_resumable, run_job_slice, std_tester, JobArtifacts, SliceOutcome,
+    cy_cfg, ev_cfg, gen_for_job, job_fingerprint, job_metrics, run_job, run_job_observed,
+    run_job_resumable, run_job_slice, std_tester, JobArtifacts, SliceOutcome,
 };
 
 use std::time::Instant;
@@ -39,6 +41,30 @@ pub fn cy_ctrl(
     channels: u32,
 ) -> CycleCtrl {
     cy_ctrl_with(spec, policy, SchedPolicy::FrFcfs, mapping, channels)
+}
+
+/// Builds an event-based controller with an explicit scheduler (the
+/// general form of [`ev_ctrl`]).
+pub fn ev_ctrl_with(
+    spec: MemSpec,
+    policy: PagePolicy,
+    sched: SchedPolicy,
+    mapping: AddrMapping,
+    channels: u32,
+) -> DramCtrl {
+    DramCtrl::new(ev_cfg(spec, policy, sched, mapping, channels)).expect("valid config")
+}
+
+/// Builds the matching cycle-based baseline with an explicit scheduler
+/// (the general form of [`cy_ctrl`]).
+pub fn cy_ctrl_with(
+    spec: MemSpec,
+    policy: PagePolicy,
+    sched: SchedPolicy,
+    mapping: AddrMapping,
+    channels: u32,
+) -> CycleCtrl {
+    CycleCtrl::new(cy_cfg(spec, policy, sched, mapping, channels)).expect("valid config")
 }
 
 /// Runs `f`, returning its result and the host wall-clock seconds spent.

@@ -457,17 +457,6 @@ where
                     eprint!("\r{}", pad_progress(&mut line_width, &line));
                 }
             }
-            // The channel is closed: force any batch the group-commit
-            // window is still holding open onto disk before the report is
-            // built from these outcomes.
-            if let Some(j) = journal {
-                j.sync().unwrap_or_else(|e| {
-                    panic!(
-                        "cannot sync the campaign journal at {}: {e}",
-                        j.path().display()
-                    )
-                });
-            }
             // The terminal line is unconditional — never throttled — so a
             // campaign that finishes inside the 100ms window still prints
             // its final count; padding covers any longer ETA line that a
@@ -548,7 +537,7 @@ fn retry_backoff_ms(base_ms: u64, job_seed: u64, attempt: u32) -> u64 {
 }
 
 /// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -21,6 +21,7 @@ use crate::exec::JobOutcome;
 use crate::report::{render_parts, render_record, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::fsio::{self, DurableAppender};
+use dramctrl_kernel::json::json_str;
 use dramctrl_kernel::snap::fingerprint;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -144,7 +145,7 @@ impl CampaignJournal {
             "{{\"journal\":\"dramctrl-campaign\",\"version\":{},\"name\":{},\
              \"spec_hash\":\"{:#018x}\",\"total\":{}}}",
             JOURNAL_VERSION,
-            json_escape(&campaign.name),
+            json_str(&campaign.name),
             campaign_hash(campaign),
             campaign.len(),
         );
@@ -287,13 +288,6 @@ impl CampaignJournal {
     /// [`commit`](Self::commit)); the journal's bytes are exactly what the
     /// same records committed one-by-one would have written.
     ///
-    /// With group commit enabled ([`set_group_commit`](Self::set_group_commit))
-    /// the *window* supersedes per-batch syncing: the batch's lines are
-    /// written immediately but only fsync'd when the window closes (or on
-    /// [`sync`](Self::sync)). Both paths share the appender's single dirty
-    /// flag, so there is no double buffering — one fsync always covers
-    /// everything written since the last one.
-    ///
     /// A process killed mid-batch (after some appends, before the sync)
     /// leaves complete record lines plus at most one torn tail —
     /// [`resume`](Self::resume) replays the prefix and re-runs the rest.
@@ -323,26 +317,6 @@ impl CampaignJournal {
             self.appender.commit_batch()?;
         }
         Ok(appended)
-    }
-
-    /// Switches the journal to group commit: appends within `window` of
-    /// the last fsync skip their own fsync and ride the next one (see
-    /// [`DurableAppender::set_group_commit`]). `None` restores
-    /// sync-every-append.
-    ///
-    /// Safe for the journal's crash contract: a record lost from an
-    /// unsynced tail simply re-runs on resume, and keep-first dedup means
-    /// the re-run's record is the one that counts.
-    pub fn set_group_commit(&mut self, window: Option<std::time::Duration>) {
-        self.appender.set_group_commit(window);
-    }
-
-    /// Forces any batched (group-commit) appends to disk now.
-    ///
-    /// # Errors
-    /// Any I/O error from syncing.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.appender.sync()
     }
 }
 
@@ -724,26 +698,6 @@ impl<'a> Cursor<'a> {
             Err(format!("trailing bytes {:?}", self.rest()))
         }
     }
-}
-
-/// Minimal JSON string escaping for the header's campaign name (matches
-/// the report renderer's escaping).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

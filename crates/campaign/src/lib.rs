@@ -23,10 +23,13 @@
 //!   skipping journaled jobs and merging their outcomes into a report
 //!   byte-identical to an uninterrupted run's.
 //!
-//! The engine is generic over the runner (`Fn(&JobSpec) -> JobMetrics`),
-//! so it has no dependency on the controller crates beyond the axis
-//! types; the canonical runner wiring specs to real controllers lives in
-//! `dramctrl-bench` (`run_job`).
+//! - [`runner`] is the canonical runner: [`runner::run_job`] wires a
+//!   spec to real controllers and traffic, and every other way of
+//!   running a simulation (preemptible slices, observed jobs, the CLI's
+//!   `run`) drives the same [`runner::Backend`].
+//!
+//! The executor itself is generic over the runner
+//! (`Fn(&JobSpec) -> JobMetrics`), so tests can substitute a fake.
 //!
 //! # Determinism
 //!
@@ -46,7 +49,7 @@
 //!     .policies([PagePolicy::Open, PagePolicy::Closed])
 //!     .read_pcts([0, 50, 100]);
 //! let report = run_campaign(&campaign, &ExecutorConfig::default(), |job| {
-//!     // A real runner simulates `job`; see dramctrl-bench::run_job.
+//!     // A real runner simulates `job`; see runner::run_job.
 //!     JobMetrics::new().with("seed_low", (job.seed & 0xFF) as f64)
 //! });
 //! assert_eq!(report.completed(), 6);
@@ -58,11 +61,12 @@
 mod exec;
 mod journal;
 mod report;
+pub mod runner;
 mod spec;
 
 pub use exec::{
-    run_campaign, run_campaign_journaled, run_campaign_shard, ExecMetrics, ExecutorConfig,
-    JobOutcome, Progress,
+    panic_message, run_campaign, run_campaign_journaled, run_campaign_shard, ExecMetrics,
+    ExecutorConfig, JobOutcome, Progress,
 };
 pub use journal::{
     campaign_hash, merge_journals, parse_record_line, CampaignJournal, JournalError,

@@ -9,6 +9,7 @@
 
 use crate::exec::JobOutcome;
 use crate::spec::JobSpec;
+use dramctrl_kernel::json::{escape_into, json_f64};
 use dramctrl_stats::Table;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -224,26 +225,29 @@ pub(crate) fn render_record(campaign_name: &str, r: &JobRecord) -> String {
 /// channel without cloning either into a [`JobRecord`].
 pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcome) -> String {
     let mut out = String::new();
+    out.push_str("{\"campaign\":");
+    escape_into(campaign_name, &mut out);
+    write!(out, ",\"job\":{},\"seed\":{},\"device\":", j.index, j.seed).unwrap();
+    escape_into(&j.device, &mut out);
+    for (key, value) in [
+        ("model", j.model.to_string()),
+        ("policy", j.policy.to_string()),
+        ("sched", j.sched.to_string()),
+        ("mapping", j.mapping.to_string()),
+    ] {
+        write!(out, ",\"{key}\":").unwrap();
+        escape_into(&value, &mut out);
+    }
+    write!(out, ",\"channels\":{},\"traffic\":", j.channels).unwrap();
+    escape_into(&j.traffic.to_string(), &mut out);
     write!(
         out,
-        "{{\"campaign\":{},\"job\":{},\"seed\":{},\"device\":{},\"model\":{},\
-         \"policy\":{},\"sched\":{},\"mapping\":{},\"channels\":{},\"traffic\":{},\
-         \"read_pct\":{},\"requests\":{},\"error_rate\":{}",
-        json_str(campaign_name),
-        j.index,
-        j.seed,
-        json_str(&j.device),
-        json_str(&j.model.to_string()),
-        json_str(&j.policy.to_string()),
-        json_str(&j.sched.to_string()),
-        json_str(&j.mapping.to_string()),
-        j.channels,
-        json_str(&j.traffic.to_string()),
+        ",\"read_pct\":{},\"requests\":{},\"error_rate\":{}",
         j.read_pct,
         j.requests,
         json_f64(j.error_rate),
     )
-    .expect("writing to String cannot fail");
+    .unwrap();
     match outcome {
         JobOutcome::Completed { metrics, attempts } => {
             write!(
@@ -255,7 +259,8 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
                 if i > 0 {
                     out.push(',');
                 }
-                write!(out, "{}:{}", json_str(k), json_f64(v)).unwrap();
+                escape_into(k, &mut out);
+                write!(out, ":{}", json_f64(v)).unwrap();
             }
             out.push_str("}}");
         }
@@ -265,44 +270,14 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
         } => {
             write!(
                 out,
-                ",\"outcome\":\"failed\",\"attempts\":{attempts},\"panic_msg\":{}}}",
-                json_str(panic_msg)
+                ",\"outcome\":\"failed\",\"attempts\":{attempts},\"panic_msg\":"
             )
             .unwrap();
+            escape_into(panic_msg, &mut out);
+            out.push('}');
         }
     }
     out
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number for an f64: shortest round-trip form; non-finite values
-/// (not representable in JSON) become null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -396,6 +371,7 @@ mod tests {
 
     #[test]
     fn json_helpers() {
+        use dramctrl_kernel::json::json_str;
         assert_eq!(json_str("a\"b\\c\u{1}"), "\"a\\\"b\\\\c\\u0001\"");
         assert_eq!(json_f64(1.5), "1.5");
         assert_eq!(json_f64(3.0), "3");

@@ -15,12 +15,14 @@ use args::{
     parse_sched, parse_size, ArgError, Args,
 };
 use dramctrl::{CtrlConfig, DramCtrl, FaultModel, RasConfig};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
+use dramctrl_campaign::runner::{cy_cfg, ev_cfg, Backend, Driven, Plan};
+use dramctrl_campaign::Model;
+use dramctrl_cycle::CycleCtrl;
 use dramctrl_kernel::fsio::write_atomic;
-use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
+use dramctrl_kernel::snap::{fingerprint, SnapState};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, Controller, MemSpec};
-use dramctrl_obs::{ChromeTracer, EpochRecorder};
+use dramctrl_mem::{presets, MemSpec};
+use dramctrl_obs::{ChromeTracer, EpochRecorder, Probe};
 use dramctrl_power::{drampower_energy, micron_power};
 use dramctrl_stats::Report;
 use dramctrl_traffic::{
@@ -138,11 +140,6 @@ Cartesian product runs in parallel with per-job deterministic seeds):
                          the same axis flags the shards ran); no
                          simulation happens, and the merged --jsonl/--md
                          are byte-identical to an unsharded run's
-    --group-commit-ms N  batch journal fsyncs in an N ms window instead
-                         of one per record (higher throughput, same
-                         crash-safety: a lost batch tail re-runs
-                         deterministically on resume; default 0 = every
-                         record)
     --metrics-json FILE  write executor operational metrics (units/s,
                          worker busy/idle, journal batch sizes, retries)
                          as JSON when the sweep finishes
@@ -362,8 +359,11 @@ impl ObsOpts {
         )
     }
 
-    /// Writes the trace and epoch files from a finished run's probe.
-    fn write_probe(&self, probe: CliProbe, end: Tick) -> Result<(), ArgError> {
+    /// Writes every requested output of a finished single-channel run:
+    /// the statistics report, then the trace and epoch files.
+    fn write_outputs(&self, backend: Backend<CliProbe>, end: Tick) -> Result<(), ArgError> {
+        self.write_stats(&backend.report(end))?;
+        let probe = backend.into_probes().remove(0);
         let write = |path: &str, text: String| {
             write_atomic(path, text).map_err(|e| ArgError(format!("writing {path:?}: {e}")))
         };
@@ -448,6 +448,8 @@ struct WorkloadSpec {
     /// Canonical description of every parameter that shapes the request
     /// stream — one input to the checkpoint fingerprint.
     desc: String,
+    /// Requests the generator yields.
+    requests: u64,
 }
 
 fn build_workload(a: &Args) -> Result<WorkloadSpec, ArgError> {
@@ -487,7 +489,12 @@ fn build_workload(a: &Args) -> Result<WorkloadSpec, ArgError> {
          mapping={mapping:?}",
         spec.name
     );
-    Ok(WorkloadSpec { spec, gen, desc })
+    Ok(WorkloadSpec {
+        spec,
+        gen,
+        desc,
+        requests,
+    })
 }
 
 /// Checkpoint/restore options for `run`.
@@ -523,65 +530,47 @@ impl RunCkpt {
 /// Drives a `run`/`replay` simulation with optional restore-on-entry and
 /// pause-at-checkpoint. Returns `None` when the run paused (the snapshot
 /// was written and the caller should exit without printing a summary).
-fn drive_run<C: Controller + SnapState>(
+fn simulate<P: Probe>(
+    backend: &mut Backend<P>,
     gen: &mut (impl TrafficGen + SnapState),
-    ctrl: &mut C,
     fp: u64,
     ck: &RunCkpt,
-    tester: &Tester,
+    requests: u64,
 ) -> Result<Option<TestSummary>, ArgError> {
-    let mut run = tester.begin();
+    let mut run = Tester::new(1_000_000, 10_000).begin();
     if let Some(path) = &ck.restore {
         let bytes = std::fs::read(path)
             .map_err(|e| ArgError(format!("reading checkpoint {path:?}: {e}")))?;
-        restore_state_of(&bytes, fp, &mut run, gen, ctrl)
+        backend
+            .resume(&mut run, gen, &bytes, fp)
             .map_err(|e| ArgError(format!("cannot restore checkpoint {path:?}: {e}")))?;
         eprintln!(
             "restored checkpoint {path} ({} requests already injected)",
             run.injected()
         );
     }
-    while run.step(gen, ctrl, Tick::MAX) {
-        if let (Some(path), Some(n)) = (&ck.checkpoint, ck.at) {
-            if run.injected() >= n {
-                let mut w = SnapWriter::new(fp);
-                run.save_state(&mut w);
-                gen.save_state(&mut w);
-                ctrl.save_state(&mut w);
-                write_atomic(path, w.into_bytes())
-                    .map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))?;
-                eprintln!(
-                    "checkpoint written to {path} at {} injected requests; \
-                     continue with --restore {path}",
-                    run.injected()
-                );
-                return Ok(None);
-            }
+    let plan = Plan {
+        fp,
+        every: 0,
+        pause_after: ck.at,
+        requests,
+    };
+    // `RunCkpt::parse` pairs --checkpoint-at with --checkpoint, so a run
+    // that can pause always has a path.
+    let path = ck.checkpoint.as_deref().unwrap_or_default();
+    let save = |bytes: Vec<u8>| {
+        write_atomic(path, bytes).map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))
+    };
+    match backend.drive(run, gen, &plan, save)? {
+        Driven::Done(summary) => Ok(Some(*summary)),
+        Driven::Paused { injected } => {
+            eprintln!(
+                "checkpoint written to {path} at {injected} injected requests; \
+                 continue with --restore {path}"
+            );
+            Ok(None)
         }
     }
-    Ok(Some(run.finish(ctrl)))
-}
-
-/// Restores `(run, gen, ctrl)` — the fixed component order — from
-/// snapshot bytes, rejecting wrong-fingerprint and trailing-garbage
-/// states.
-fn restore_state_of(
-    bytes: &[u8],
-    fp: u64,
-    run: &mut dramctrl_traffic::TestRun,
-    gen: &mut impl SnapState,
-    ctrl: &mut impl SnapState,
-) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(bytes, fp)?;
-    run.restore_state(&mut r)?;
-    gen.restore_state(&mut r)?;
-    ctrl.restore_state(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(SnapError::Corrupt(
-            "snapshot has trailing bytes after the controller state".into(),
-        ));
-    }
-    Ok(())
 }
 
 fn print_summary(s: &TestSummary, spec: &MemSpec) {
@@ -620,6 +609,7 @@ fn run(argv: Vec<String>) -> Result<(), ArgError> {
         spec,
         mut gen,
         desc,
+        requests,
     } = build_workload(&a)?;
     let policy = parse_policy(a.get("policy").unwrap_or("open"))?;
     let sched = parse_sched(a.get("sched").unwrap_or("frfcfs"))?;
@@ -627,79 +617,59 @@ fn run(argv: Vec<String>) -> Result<(), ArgError> {
     let obs = ObsOpts::parse(&a)?;
     let ras = parse_ras_config(&a)?;
     let ck = RunCkpt::parse(&a)?;
-    let model = a.get("model").unwrap_or("event").to_owned();
+    let model_name = a.get("model").unwrap_or("event");
     // The fingerprint covers everything that shapes the simulation, so a
     // snapshot can only be restored by the command line that matches it.
     let fp = fingerprint(
         format!(
-            "run model={model} policy={policy:?} sched={sched:?} ras={ras:?} \
+            "run model={model_name} policy={policy:?} sched={sched:?} ras={ras:?} \
              powerdown={} {desc}",
             a.get("powerdown").unwrap_or("0")
         )
         .as_bytes(),
     );
-    let tester = Tester::new(1_000_000, 10_000);
-
-    match model.as_str() {
-        "event" => {
-            let mut cfg = CtrlConfig::new(spec.clone());
-            cfg.page_policy = policy;
-            cfg.scheduling = sched;
-            cfg.mapping = mapping;
-            cfg.ras = ras;
+    let (model, title) = match model_name {
+        "event" => (Model::Event, "event-based model"),
+        "cycle" => (Model::Cycle, "cycle-based baseline"),
+        other => return Err(ArgError(format!("unknown model {other:?}"))),
+    };
+    let mut backend = Backend::build(
+        model,
+        1,
+        mapping,
+        |_| {
+            let mut cfg = ev_cfg(spec.clone(), policy, sched, mapping, 1);
+            cfg.ras = ras.clone();
             if let Some(pd) = a.get("powerdown") {
                 cfg.powerdown_idle = parse_duration(pd)?;
             }
-            let mut ctrl =
-                DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-            let Some(summary) = drive_run(&mut gen, &mut ctrl, fp, &ck, &tester)? else {
-                return Ok(());
-            };
-            println!("== {} (event-based model) ==", spec.name);
-            print_summary(&summary, &spec);
-            print_ras(ctrl.fault_model());
-            let act = Controller::activity(&mut ctrl, summary.duration);
-            let power = micron_power(&spec, &act);
-            println!("DRAM power         : {:.1} mW", power.total_mw());
-            if a.switch("energy") {
-                println!();
-                print!("{}", drampower_energy(&spec, &act).report("energy"));
-            }
-            obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-            obs.write_probe(ctrl.into_probe(), summary.duration)?;
-        }
-        "cycle" => {
-            let mut cfg = CycleConfig::new(spec.clone());
-            cfg.page_policy = if policy.is_open() {
-                CyclePagePolicy::Open
-            } else {
-                CyclePagePolicy::Closed
-            };
-            cfg.scheduling = match sched {
-                dramctrl::SchedPolicy::Fcfs => CycleSched::Fcfs,
-                dramctrl::SchedPolicy::FrFcfs => CycleSched::FrFcfs,
-            };
-            cfg.mapping = mapping;
-            cfg.ras = ras;
-            let mut ctrl =
-                CycleCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-            let Some(summary) = drive_run(&mut gen, &mut ctrl, fp, &ck, &tester)? else {
-                return Ok(());
-            };
-            println!("== {} (cycle-based baseline) ==", spec.name);
-            print_summary(&summary, &spec);
-            print_ras(ctrl.fault_model());
-            let act = Controller::activity(&mut ctrl, summary.duration);
-            println!(
-                "DRAM power         : {:.1} mW",
-                micron_power(&spec, &act).total_mw()
-            );
-            obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-            obs.write_probe(ctrl.into_probe(), summary.duration)?;
-        }
-        other => return Err(ArgError(format!("unknown model {other:?}"))),
+            DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))
+        },
+        |_| {
+            // `run` drives the plain DRAMSim2-style baseline, without the
+            // write snooping that model comparisons switch on.
+            let mut cfg = cy_cfg(spec.clone(), policy, sched, mapping, 1);
+            cfg.write_snooping = false;
+            cfg.ras = ras.clone();
+            CycleCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))
+        },
+    )?;
+    let Some(summary) = simulate(&mut backend, &mut gen, fp, &ck, requests)? else {
+        return Ok(());
+    };
+    println!("== {} ({title}) ==", spec.name);
+    print_summary(&summary, &spec);
+    print_ras(backend.fault_models().first().copied());
+    let act = backend.activity(summary.duration);
+    println!(
+        "DRAM power         : {:.1} mW",
+        micron_power(&spec, &act).total_mw()
+    );
+    if model == Model::Event && a.switch("energy") {
+        println!();
+        print!("{}", drampower_energy(&spec, &act).report("energy"));
     }
-    Ok(())
+    obs.write_outputs(backend, summary.duration)
 }
 
 const SWEEP_OPTS: &[&str] = &[
@@ -730,7 +700,6 @@ const SWEEP_OPTS: &[&str] = &[
     "checkpoint-every",
     "shard",
     "merge",
-    "group-commit-ms",
     "metrics-json",
 ];
 
@@ -855,7 +824,7 @@ fn parse_shard(s: &str) -> Result<(u32, u32), ArgError> {
 }
 
 fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
-    use dramctrl_bench::{run_job, run_job_resumable};
+    use dramctrl_campaign::runner::{run_job, run_job_resumable};
     use dramctrl_campaign::{
         merge_journals, run_campaign, run_campaign_journaled, run_campaign_shard, CampaignJournal,
         ExecutorConfig, JobMetrics, JobSpec, Progress,
@@ -950,19 +919,6 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
                 .into(),
         ));
     }
-    // Opt-in group commit: batch journal fsyncs in a window. Crash-safe
-    // because a lost unsynced tail re-runs deterministically on resume
-    // and keep-first dedup keeps the first committed record canonical.
-    let group_ms: u64 = a.parse_or("group-commit-ms", 0u64)?;
-    if group_ms > 0 {
-        let Some(j) = journal.as_mut() else {
-            return Err(ArgError(
-                "--group-commit-ms tunes the journal; add --journal or --resume".into(),
-            ));
-        };
-        j.set_group_commit(Some(std::time::Duration::from_millis(group_ms)));
-    }
-
     let every: u64 = a.parse_or("checkpoint-every", 0u64)?;
     if every > 0 {
         if journal.is_none() {
@@ -997,7 +953,7 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
     }
     let runner: Box<dyn Fn(&JobSpec) -> JobMetrics + Sync> = match a.get("obs-dir") {
         Some(dir) => {
-            use dramctrl_bench::run_job_observed;
+            use dramctrl_campaign::runner::run_job_observed;
             std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir:?}: {e}")))?;
             let dir = PathBuf::from(dir);
             Box::new(move |job| {
@@ -1032,11 +988,6 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
         (Some(j), None) => run_campaign_journaled(&campaign, &cfg, j, runner),
         (None, _) => run_campaign(&campaign, &cfg, runner),
     };
-    if let Some(j) = journal.as_mut() {
-        // With group commit on, the last batch may still be unsynced.
-        j.sync()
-            .map_err(|e| ArgError(format!("syncing the journal: {e}")))?;
-    }
     // A finished sweep no longer needs its per-job snapshots. (Shards
     // only tried to remove their own jobs' snapshots plus already-absent
     // paths, so cross-shard cleanup is a harmless no-op.)
@@ -1609,21 +1560,15 @@ fn replay(argv: Vec<String>) -> Result<(), ArgError> {
         )
         .as_bytes(),
     );
-    let mut ctrl = DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-    let Some(summary) = drive_run(
-        &mut trace,
-        &mut ctrl,
-        fp,
-        &ck,
-        &Tester::new(1_000_000, 10_000),
-    )?
-    else {
+    let mut backend = Backend::Event(
+        DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?,
+    );
+    let requests = trace.len() as u64;
+    let Some(summary) = simulate(&mut backend, &mut trace, fp, &ck, requests)? else {
         return Ok(());
     };
     println!("== replay of {} on {} ==", path, spec.name);
     print_summary(&summary, &spec);
-    print_ras(ctrl.fault_model());
-    obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-    obs.write_probe(ctrl.into_probe(), summary.duration)?;
-    Ok(())
+    print_ras(backend.fault_models().first().copied());
+    obs.write_outputs(backend, summary.duration)
 }

@@ -13,8 +13,8 @@
 //! schedules ahead of `now`), bins are indexed by absolute time and grown
 //! on demand rather than rolled forward.
 
-use crate::json::json_f64;
 use crate::probe::{CmdEvent, DramCmd, PowerState, Probe, RasMark};
+use dramctrl_kernel::json::json_f64;
 use dramctrl_kernel::Tick;
 use std::fmt::Write as _;
 

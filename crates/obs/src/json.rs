@@ -1,6 +1,6 @@
-//! Minimal JSON utilities: a recursive-descent validator (no value tree,
-//! no allocation proportional to input) plus the escaping/formatting
-//! helpers the sinks share.
+//! A minimal JSON validator: recursive descent, no value tree, no
+//! allocation proportional to input. The sinks write JSON through
+//! [`dramctrl_kernel::json`].
 //!
 //! The validator exists so tests and CI can assert that emitted traces are
 //! well-formed **without** pulling a JSON dependency into the workspace —
@@ -212,37 +212,6 @@ impl Parser<'_> {
     }
 }
 
-/// JSON string literal for `s`, with the required escapes.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number for an f64: shortest round-trip form; non-finite values
-/// (not representable in JSON) become `null`.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +266,7 @@ mod tests {
 
     #[test]
     fn helpers_escape_and_format() {
+        use dramctrl_kernel::json::{json_f64, json_str};
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
         assert_eq!(json_f64(0.5), "0.5");

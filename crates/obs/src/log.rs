@@ -155,7 +155,7 @@ pub fn format_record_json(
     msg: &str,
     fields: &[(&str, String)],
 ) -> String {
-    use crate::json::json_str;
+    use dramctrl_kernel::json::json_str;
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default();

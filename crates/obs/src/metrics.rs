@@ -29,6 +29,7 @@
 //! dramctrl_obs::metrics::validate_exposition(&text).unwrap();
 //! ```
 
+use dramctrl_kernel::json::json_f64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -502,14 +503,6 @@ impl Registry {
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

@@ -14,9 +14,10 @@
 //! and numeric tokens are kept raw end to end, so a `u64` campaign seed
 //! is never coerced through a float.
 
-use crate::wire::{escape, Value};
+use crate::wire::Value;
 use dramctrl::{PagePolicy, SchedPolicy};
 use dramctrl_campaign::{Campaign, Model, TrafficPattern, JOURNAL_VERSION};
+use dramctrl_kernel::json::json_str;
 use dramctrl_kernel::snap::SNAP_VERSION;
 use dramctrl_mem::AddrMapping;
 use std::fmt::Write as _;
@@ -59,7 +60,7 @@ impl VersionInfo {
         format!(
             "{{\"event\":\"hello\",\"proto\":{},\"crate\":{},\"snap\":{},\"journal\":{}}}",
             self.proto,
-            escape(&self.crate_version),
+            json_str(&self.crate_version),
             self.snap,
             self.journal
         )
@@ -235,7 +236,7 @@ pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
 pub fn record_event(id: &str, index: usize, data: &str) -> String {
     format!(
         "{{\"event\":\"record\",\"id\":{},\"index\":{index},\"data\":{data}}}",
-        escape(id)
+        json_str(id)
     )
 }
 
@@ -257,11 +258,11 @@ pub fn text_event(event: &str, id: &str, index: usize, text: &str) -> String {
     write!(
         out,
         "{{\"event\":{},\"id\":{},\"index\":{index},\"text\":",
-        escape(event),
-        escape(id)
+        json_str(event),
+        json_str(id)
     )
     .expect("writing to String cannot fail");
-    crate::wire::escape_into(text, &mut out);
+    dramctrl_kernel::json::escape_into(text, &mut out);
     out.push('}');
     out
 }
@@ -271,7 +272,7 @@ pub fn text_event(event: &str, id: &str, index: usize, text: &str) -> String {
 pub fn progress_event(id: &str, done: usize, total: usize) -> String {
     format!(
         "{{\"event\":\"progress\",\"id\":{},\"done\":{done},\"total\":{total}}}",
-        escape(id)
+        json_str(id)
     )
 }
 
@@ -280,7 +281,7 @@ pub fn progress_event(id: &str, done: usize, total: usize) -> String {
 pub fn done_event(id: &str, ok: usize, failed: usize) -> String {
     format!(
         "{{\"event\":\"done\",\"id\":{},\"ok\":{ok},\"failed\":{failed}}}",
-        escape(id)
+        json_str(id)
     )
 }
 
@@ -288,13 +289,13 @@ pub fn done_event(id: &str, ok: usize, failed: usize) -> String {
 /// stays usable).
 #[must_use]
 pub fn error_event(reason: &str) -> String {
-    format!("{{\"event\":\"error\",\"reason\":{}}}", escape(reason))
+    format!("{{\"event\":\"error\",\"reason\":{}}}", json_str(reason))
 }
 
 /// Renders a `rejected` event (admission control refused a submit).
 #[must_use]
 pub fn rejected_event(reason: &str) -> String {
-    format!("{{\"event\":\"rejected\",\"reason\":{}}}", escape(reason))
+    format!("{{\"event\":\"rejected\",\"reason\":{}}}", json_str(reason))
 }
 
 /// Renders an `accepted` event: the job is durably journaled and will
@@ -303,7 +304,7 @@ pub fn rejected_event(reason: &str) -> String {
 pub fn accepted_event(id: &str, total: usize) -> String {
     format!(
         "{{\"event\":\"accepted\",\"id\":{},\"total\":{total}}}",
-        escape(id)
+        json_str(id)
     )
 }
 

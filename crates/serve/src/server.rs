@@ -65,11 +65,14 @@ use crate::proto::{
 };
 use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
-use crate::wire::{escape, Value};
-use dramctrl_bench::{run_job_observed, run_job_slice, JobArtifacts, SliceOutcome};
-use dramctrl_campaign::{CampaignJournal, JobMetrics, JobOutcome, JobRecord, JobSpec};
+use crate::wire::Value;
+use dramctrl_campaign::runner::{run_job_observed, run_job_slice, JobArtifacts, SliceOutcome};
+use dramctrl_campaign::{
+    panic_message, CampaignJournal, JobMetrics, JobOutcome, JobRecord, JobSpec,
+};
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
+use dramctrl_kernel::json::json_str;
 use dramctrl_obs::metrics::Gauge;
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
@@ -879,11 +882,19 @@ impl Server {
                 writeln!(writer, "{line}")?;
                 streamed.add(line.len() as u64 + 1);
                 if is_done {
-                    break;
+                    // Dropping `rx` unsubscribes: the server's next send
+                    // fails and the sender is pruned.
+                    return writer.flush();
                 }
             }
-            // Dropping `rx` unsubscribes: the server's next send fails
-            // and the sender is pruned.
+            // The stream stopped short of `done`: the broadcaster evicted
+            // this watcher. End the connection so the client sees EOF and
+            // reconnects now instead of idling into the read deadline.
+            writer.flush()?;
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "watcher evicted",
+            ));
         }
         writer.flush()
     }
@@ -940,8 +951,8 @@ impl Server {
                 return Err(format!(
                     "{{\"status\":\"degraded\",\"store\":{},\"reason\":{},\
                      \"degraded_seconds\":{:.3},\"retries\":{}}}",
-                    escape(&st.store.root().display().to_string()),
-                    escape(&d.reason),
+                    json_str(&st.store.root().display().to_string()),
+                    json_str(&d.reason),
                     d.since.elapsed().as_secs_f64(),
                     self.inner.metrics.store_retries.get(),
                 ));
@@ -954,14 +965,14 @@ impl Server {
         match outcome {
             Ok(()) => Ok(format!(
                 "{{\"status\":\"ok\",\"store\":{},\"active_jobs\":{},\"uptime_seconds\":{:.3}}}",
-                escape(&root.display().to_string()),
+                json_str(&root.display().to_string()),
                 active,
                 self.inner.started.elapsed().as_secs_f64(),
             )),
             Err(e) => Err(format!(
                 "{{\"status\":\"unwritable\",\"store\":{},\"error\":{}}}",
-                escape(&root.display().to_string()),
-                escape(&e.to_string()),
+                json_str(&root.display().to_string()),
+                json_str(&e.to_string()),
             )),
         }
     }
@@ -1016,12 +1027,12 @@ fn jobs_tenants_json(st: &State) -> String {
         };
         jobs.push_str(&format!(
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
-            escape(id),
-            escape(&js.stored.tenant),
+            json_str(id),
+            json_str(&js.stored.tenant),
             js.done(),
             js.failed(),
             js.total(),
-            escape(if js.finished() { "done" } else { "active" }),
+            json_str(if js.finished() { "done" } else { "active" }),
             match js.stored.shard {
                 Some((i, n)) => format!(",\"shard\":\"{i}/{n}\""),
                 None => String::new(),
@@ -1058,14 +1069,14 @@ fn jobs_tenants_json(st: &State) -> String {
         out.push_str(&format!(
             "{{\"tenant\":{},\"queued\":{},\"active_jobs\":{},\"served\":{},\"failed\":{},\
              \"rejected\":{},\"running\":{}}}",
-            escape(tenant),
+            json_str(tenant),
             roll.queued,
             roll.active,
             roll.served,
             roll.failed,
             st.rejects.get(*tenant).copied().unwrap_or(0),
             match &roll.running {
-                Some((id, u)) => format!("{{\"job\":{},\"unit\":{u}}}", escape(id)),
+                Some((id, u)) => format!("{{\"job\":{},\"unit\":{u}}}", json_str(id)),
                 None => "null".to_owned(),
             },
         ));
@@ -1224,17 +1235,6 @@ fn requeue(st: &mut State, id: &str) {
         st.queued_at
             .entry(id.to_owned())
             .or_insert_with(Instant::now);
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 

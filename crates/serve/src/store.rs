@@ -41,9 +41,10 @@
 //! job can never be resurrected and re-run on restart.
 
 use crate::proto::{campaign_from_wire, campaign_to_wire};
-use crate::wire::{escape, Value};
+use crate::wire::Value;
 use dramctrl_campaign::Campaign;
 use dramctrl_kernel::fsio::DurableAppender;
+use dramctrl_kernel::json::json_str;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -196,8 +197,8 @@ impl JobStore {
         let shard_field = shard.map_or(String::new(), |(i, n)| format!("\"shard\":[{i},{n}],"));
         let line = format!(
             "{{\"id\":{},\"tenant\":{},\"epochs\":{},{}\"campaign\":{}}}",
-            escape(&id),
-            escape(tenant),
+            json_str(&id),
+            json_str(tenant),
             epochs,
             shard_field,
             campaign_to_wire(campaign).encode()
@@ -230,7 +231,7 @@ impl JobStore {
             } else {
                 DurableAppender::create(&log)?
             };
-            appender.append_line(&format!("{{\"id\":{}}}", escape(id)))?;
+            appender.append_line(&format!("{{\"id\":{}}}", json_str(id)))?;
             self.evicted.insert(id.to_owned());
         }
         let dir = self.job_dir(id);

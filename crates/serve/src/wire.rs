@@ -11,7 +11,7 @@
 //!   service emits, which keeps record payloads comparable byte for
 //!   byte.
 
-use std::fmt::Write as _;
+use dramctrl_kernel::json::escape_into;
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,32 +142,6 @@ impl Value {
             }
         }
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes and escapes included).
-pub fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to String cannot fail");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// `s` as a standalone JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_into(s, &mut out);
-    out
 }
 
 /// Deepest container nesting [`Value::parse`] accepts. Far beyond any
@@ -420,7 +394,10 @@ mod tests {
     fn escapes_decode_and_encode() {
         let v = Value::parse(r#""tab\t quote\" uA pair😀""#).unwrap();
         assert_eq!(v.as_str(), Some("tab\t quote\" uA pair😀"));
-        assert_eq!(escape("a\"b\nc\u{1}"), "\"a\\\"b\\nc\\u0001\"");
+        assert_eq!(
+            dramctrl_kernel::json::json_str("a\"b\nc\u{1}"),
+            "\"a\\\"b\\nc\\u0001\""
+        );
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! parallel tests (and the reference runs) never see each other's
 //! faults.
 
-use dramctrl_bench::run_job;
+use dramctrl_campaign::runner::run_job;
 use dramctrl_campaign::{run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig};
 use dramctrl_kernel::fsio::fault;
 use dramctrl_serve::proto;
 use dramctrl_serve::wire::Value;
 use dramctrl_serve::{Client, Listener, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -44,9 +44,14 @@ fn reference(c: &Campaign, dir: &PathBuf) -> (String, String) {
 /// pauses — no checkpoint writes, so a store-wide fault filter only ever
 /// hits the accept log, the journals and the recovery probe.
 fn spawn(cfg: ServeConfig) -> (String, Server) {
+    spawn_at(cfg, "127.0.0.1:0")
+}
+
+/// [`spawn`] listening on `addr` (a host:port or a Unix socket path).
+fn spawn_at(cfg: ServeConfig, addr: &str) -> (String, Server) {
     let server = Server::open(cfg).expect("open store");
     server.start_scheduler();
-    let listener = Listener::bind("127.0.0.1:0").expect("bind");
+    let listener = Listener::bind(addr).expect("bind");
     let addr = listener.local_addr();
     {
         let server = server.clone();
@@ -263,9 +268,14 @@ fn a_watcher_that_stops_reading_does_not_wedge_the_scheduler() {
     let store = root.join("store");
     let mut cfg = ServeConfig::new(&store);
     cfg.quantum = 200; // many progress events per unit
-    cfg.client_timeout = Some(Duration::from_millis(500));
+                       // Far beyond the test: an evicted watcher must not wait for it.
+    cfg.client_timeout = Some(Duration::from_secs(60));
     cfg.subscriber_buffer = 2; // tiny outbound buffer
-    let (addr, _server) = spawn(cfg);
+                               // A Unix socket: its send buffer is fixed (no TCP autotuning), so a
+                               // client that never reads blocks the daemon's writer for certain.
+    std::fs::create_dir_all(&root).unwrap();
+    let sock = root.join("d.sock");
+    let (addr, _server) = spawn_at(cfg, sock.to_str().unwrap());
     let c = campaign("sweep");
     let (want, _) = reference(&c, &root.join("ref"));
 
@@ -277,10 +287,13 @@ fn a_watcher_that_stops_reading_does_not_wedge_the_scheduler() {
     // briefly descheduled reader can be evicted mid-burst (commit =
     // record + progress + maybe done, back to back), and the contract
     // we care about is that resuming always yields the full gap- and
-    // dup-free record set.
+    // dup-free record set. The job is observed at a fine epoch
+    // interval, so each commit streams an epoch series far larger than
+    // the socket buffer: the deaf watcher's writer blocks and its
+    // eviction is certain.
     let mut submitter = Client::connect(&addr).unwrap();
-    let (id, _) = submitter.submit("alice", 0, &c).unwrap();
-    let mut deaf = std::net::TcpStream::connect(&addr).unwrap();
+    let (id, _) = submitter.submit("alice", 10_000, &c).unwrap();
+    let mut deaf = std::os::unix::net::UnixStream::connect(&sock).unwrap();
     {
         let mut r = BufReader::new(deaf.try_clone().unwrap());
         let mut l = String::new();
@@ -290,6 +303,19 @@ fn a_watcher_that_stops_reading_does_not_wedge_the_scheduler() {
     // Keep the socket open but never read it.
 
     assert_eq!(collect_records_resilient(&addr, &id), want);
+
+    // The evicted watcher's connection is over: it reads what was in
+    // flight, then EOF — now, not at the 60 s read deadline.
+    deaf.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let started = Instant::now();
+    let mut seen = Vec::new();
+    let read = deaf.read_to_end(&mut seen);
+    assert!(
+        read.is_ok(),
+        "evicted watcher left hanging for {:?}: {read:?}",
+        started.elapsed()
+    );
+    assert!(!String::from_utf8_lossy(&seen).contains("{\"event\":\"done\""));
 
     // Prove the daemon is still fully alive after the deaf client.
     let mut again = Client::connect(&addr).unwrap();

@@ -3,7 +3,7 @@
 //! standalone campaign run, and restart-on-the-same-store resuming
 //! without re-running or losing committed work.
 
-use dramctrl_bench::run_job;
+use dramctrl_campaign::runner::run_job;
 use dramctrl_campaign::{
     run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig, JobRecord,
 };
@@ -453,7 +453,7 @@ fn concurrent_scrapes_never_perturb_streamed_records() {
 
 #[test]
 fn preemption_counter_matches_independent_slice_replay() {
-    use dramctrl_bench::{run_job_slice, SliceOutcome};
+    use dramctrl_campaign::runner::{run_job_slice, SliceOutcome};
     let root = tmp("preempt");
     let quantum = 700;
     let (addr, _http, server) = spawn_daemon_http(root.join("store"), quantum);

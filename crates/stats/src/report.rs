@@ -1,3 +1,4 @@
+use dramctrl_kernel::json::{escape_into, json_f64};
 use std::fmt;
 
 use crate::{Average, Histogram};
@@ -148,14 +149,14 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.entries.len() * 32);
         out.push_str("{\"prefix\":");
-        out.push_str(&json_str(&self.prefix));
+        escape_into(&self.prefix, &mut out);
         out.push_str(",\"entries\":[");
         for (i, (name, value)) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n{\"name\":");
-            out.push_str(&json_str(name));
+            escape_into(name, &mut out);
             match value {
                 Value::Counter(v) => {
                     out.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"));
@@ -166,44 +167,13 @@ impl Report {
                 }
                 Value::Text(v) => {
                     out.push_str(",\"type\":\"text\",\"value\":");
-                    out.push_str(&json_str(v));
+                    escape_into(v, &mut out);
                 }
             }
             out.push('}');
         }
         out.push_str("]}\n");
         out
-    }
-}
-
-/// JSON string literal with the required escapes (kept local so the stats
-/// crate stays dependency-free).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Shortest round-trip JSON number; non-finite becomes `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 
