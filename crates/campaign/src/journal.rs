@@ -274,11 +274,37 @@ impl CampaignJournal {
             return Ok(false);
         }
         let line = render_record(&self.campaign_name, record);
-        self.appender.append_line(&line)?;
-        self.completed
-            .insert(record.job.index, record.outcome.clone());
-        test_kill_hook();
+        self.append(record.job.index, &record.outcome, &line)?;
         Ok(true)
+    }
+
+    /// [`commit`](Self::commit) from borrowed parts, also handing back
+    /// the record's rendered line — the journal bytes, without the
+    /// newline — so a caller that forwards the record renders it once.
+    /// The line comes back for an already-journaled index too, rendered
+    /// from `outcome`.
+    ///
+    /// # Errors
+    /// As [`commit`](Self::commit).
+    pub fn commit_rendered(
+        &mut self,
+        job: &JobSpec,
+        outcome: &JobOutcome,
+    ) -> io::Result<(bool, String)> {
+        let line = render_parts(&self.campaign_name, job, outcome);
+        let new = !self.completed.contains_key(&job.index);
+        if new {
+            self.append(job.index, outcome, &line)?;
+        }
+        Ok((new, line))
+    }
+
+    /// Appends and fsyncs one rendered record line: the commit point.
+    fn append(&mut self, index: usize, outcome: &JobOutcome, line: &str) -> io::Result<()> {
+        self.appender.append_line(line)?;
+        self.completed.insert(index, outcome.clone());
+        test_kill_hook();
+        Ok(())
     }
 
     /// Commits a batch of finished jobs with one fsync: every record's

@@ -206,25 +206,30 @@ pub struct Plan {
     pub fp: u64,
     /// Snapshot every `every` injected requests (`0`: never).
     pub every: u64,
-    /// Snapshot and pause at the first request boundary at or past this
-    /// many injections — unless every request of the run is already
-    /// injected, when only the drain is left and a pause would buy
-    /// nothing.
+    /// Pause at the first request boundary at or past this many
+    /// injections — unless every request of the run is already injected,
+    /// when only the drain is left and a pause would buy nothing.
     pub pause_after: Option<u64>,
     /// Requests the run's generator yields in total.
     pub requests: u64,
 }
 
 /// How a [`Backend::drive`] call ended.
+// The paused run goes straight back to its owner; boxing it would cost
+// an allocation per pause to save a memcpy.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Driven {
     /// The run completed; here is its summary.
     Done(Box<TestSummary>),
-    /// The run paused after `injected` injections and handed the
-    /// snapshot to its sink.
+    /// The run paused at a request boundary. The live run comes back so
+    /// the caller can continue it later or [`snapshot`](Backend::snapshot)
+    /// it.
     Paused {
         /// Requests injected so far.
         injected: u64,
+        /// The paused run.
+        run: TestRun,
     },
 }
 
@@ -261,8 +266,8 @@ impl<P: Probe> Backend<P> {
     }
 
     /// Restores `(run, gen, controllers)` — the fixed snapshot component
-    /// order — from snapshot bytes written by [`drive`](Self::drive)
-    /// under the same fingerprint `fp`.
+    /// order — from snapshot bytes written by [`snapshot`](Self::snapshot)
+    /// or [`drive`](Self::drive) under the same fingerprint `fp`.
     ///
     /// # Errors
     /// A fingerprint mismatch, a torn or corrupt snapshot, or trailing
@@ -286,8 +291,14 @@ impl<P: Probe> Backend<P> {
         Ok(())
     }
 
+    /// Snapshot bytes of `(run, gen, controllers)` stamped with `fp` —
+    /// what [`resume`](Self::resume) restores.
+    pub fn snapshot<G: SnapState>(&self, run: &TestRun, gen: &G, fp: u64) -> Vec<u8> {
+        each!(self, c => snapshot_of(fp, run, gen, c))
+    }
+
     /// Drives `run` to completion or to the pause point of `plan`,
-    /// handing every snapshot the plan asks for to `save`.
+    /// handing every periodic snapshot the plan asks for to `save`.
     ///
     /// # Errors
     /// The first error `save` returns.
@@ -391,6 +402,20 @@ impl<P: Probe> Backend<P> {
     }
 }
 
+/// Snapshot bytes in the fixed component order: run, generator,
+/// controller stack.
+fn snapshot_of<C, G>(fp: u64, run: &TestRun, gen: &G, ctrl: &C) -> Vec<u8>
+where
+    C: SnapState,
+    G: SnapState + ?Sized,
+{
+    let mut w = SnapWriter::new(fp);
+    run.save_state(&mut w);
+    gen.save_state(&mut w);
+    ctrl.save_state(&mut w);
+    w.into_bytes()
+}
+
 /// The tester loop every run goes through, monomorphic in the
 /// controller stack `C` and the generator `G`.
 fn drive_loop<C, G, E>(
@@ -404,24 +429,16 @@ where
     C: Controller + SnapState,
     G: TrafficGen + SnapState,
 {
-    let mut snapshot = |run: &TestRun, gen: &G, ctrl: &C| {
-        let mut w = SnapWriter::new(plan.fp);
-        run.save_state(&mut w);
-        gen.save_state(&mut w);
-        ctrl.save_state(&mut w);
-        save(w.into_bytes())
-    };
     while run.step(gen, ctrl, Tick::MAX) {
         let injected = run.injected();
         if plan
             .pause_after
             .is_some_and(|n| injected >= n && injected < plan.requests)
         {
-            snapshot(&run, gen, ctrl)?;
-            return Ok(Driven::Paused { injected });
+            return Ok(Driven::Paused { injected, run });
         }
         if plan.every > 0 && injected % plan.every == 0 {
-            snapshot(&run, gen, ctrl)?;
+            save(snapshot_of(plan.fp, &run, gen, ctrl))?;
         }
     }
     Ok(Driven::Done(Box::new(run.finish(ctrl))))
@@ -487,15 +504,15 @@ pub fn run_job_resumable(
 
 /// What one bounded slice of a job produced.
 ///
-/// Returned by [`run_job_slice`]; `Paused` carries the injection count at
-/// the pause point so a preemptive scheduler can set the *next* slice's
-/// pause target relative to actual progress (`injected + quantum`)
-/// instead of guessing.
+/// Returned by [`run_job_slice`] and [`Resident::slice`]; `Paused`
+/// carries the injection count at the pause point so a preemptive
+/// scheduler can set the *next* slice's pause target relative to actual
+/// progress (`injected + quantum`) instead of guessing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SliceOutcome {
     /// The job ran to completion; here are its metrics.
     Done(JobMetrics),
-    /// The job paused at a request boundary and checkpointed.
+    /// The job paused at a request boundary.
     Paused {
         /// Requests injected so far (monotonic across slices).
         injected: u64,
@@ -528,110 +545,283 @@ fn job_spec(job: &JobSpec) -> MemSpec {
         .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device))
 }
 
-/// The controller stack for `job`, each channel carrying `probe(ch)`.
-/// `event` turns a channel's configuration into its controller, so the
-/// plain path can take a worker's cached one.
-fn job_backend<P: Probe>(
-    job: &JobSpec,
-    spec: &MemSpec,
-    probe: impl Fn(u32) -> P,
-    mut event: impl FnMut(CtrlConfig, u32) -> DramCtrl<P>,
-) -> Backend<P> {
-    let ras = ras_for_job(job);
-    let ch_total = job.channels.max(1);
-    infallible(Backend::build(
-        job.model,
-        job.channels,
-        job.mapping,
-        |ch| {
-            let mut cfg = ev_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
-            cfg.ras = ras.clone();
-            let mut ctrl = event(cfg, ch);
-            ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-            Ok(ctrl)
-        },
-        |ch| {
-            let mut cfg = cy_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
-            cfg.ras = ras.clone();
-            Ok(CycleCtrl::with_probe(cfg, probe(ch)).expect("valid config"))
-        },
-    ))
-}
-
 fn run_job_slice_inner(
     job: &JobSpec,
     checkpoint: Option<&Path>,
     every: u64,
     pause_after: Option<u64>,
 ) -> SliceOutcome {
-    let spec = job_spec(job);
-    let mut gen = gen_for_job(job, &spec);
-    // The single-channel short job is the campaign hot path: take the
-    // worker's cached controller instead of rebuilding queues and arenas.
-    let single = job.channels <= 1;
-    let mut backend = job_backend(
-        job,
-        &spec,
-        |_| NoProbe,
-        |cfg, _| {
-            if single {
-                cached_ev_ctrl(cfg)
-            } else {
-                DramCtrl::new(cfg).expect("valid config")
-            }
-        },
-    );
-    let s = match drive_job(&mut backend, &mut gen, job, checkpoint, every, pause_after) {
-        Driven::Done(s) => s,
-        Driven::Paused { injected } => return SliceOutcome::Paused { injected },
+    let mut resident = match checkpoint.filter(|p| p.exists()) {
+        Some(path) => {
+            let bytes = std::fs::read(path)
+                .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
+            Resident::resume(job.clone(), &bytes)
+                .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()))
+        }
+        None => Resident::new(job.clone()),
     };
-    let m = backend.metrics(&s);
-    if let Backend::Event(ctrl) = backend {
-        retire_ev_ctrl(ctrl);
-    }
-    SliceOutcome::Done(m)
-}
-
-/// Drives `job` on `backend`: resumes from `checkpoint` if it exists,
-/// snapshots to it every `every` injections and pauses at `pause_after`
-/// (see [`run_job_resumable`]).
-fn drive_job<P: Probe>(
-    backend: &mut Backend<P>,
-    gen: &mut Box<dyn SnapGen>,
-    job: &JobSpec,
-    checkpoint: Option<&Path>,
-    every: u64,
-    pause_after: Option<u64>,
-) -> Driven {
-    let plan = Plan {
-        // The fingerprint guards checkpoint compatibility; without a
-        // checkpoint path nothing ever reads it, so the plain fast path
-        // skips the Debug-format hash.
-        fp: checkpoint.map_or(0, |_| job_fingerprint(job)),
-        every: if checkpoint.is_some() { every } else { 0 },
-        pause_after,
-        requests: job.requests,
-    };
-    let mut run = std_tester().begin();
-    if let Some(path) = checkpoint.filter(|p| p.exists()) {
-        let bytes = std::fs::read(path)
-            .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
-        backend
-            .resume(&mut run, gen, &bytes, plan.fp)
-            .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
-    }
-    let save = |bytes: Vec<u8>| {
+    let mut write = |bytes: Vec<u8>| {
         let path = checkpoint.expect("pausing a run requires a checkpoint path");
         write_atomic(path, bytes)
             .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
-        Ok(())
     };
-    infallible(backend.drive(run, gen, &plan, save))
+    let every = if checkpoint.is_some() { every } else { 0 };
+    let out = resident.drive(every, pause_after, &mut write);
+    match out {
+        SliceOutcome::Paused { .. } => write(resident.snapshot()),
+        SliceOutcome::Done(_) => resident.retire(),
+    }
+    out
 }
 
 /// Unwraps a result that cannot be an error.
 fn infallible<T>(r: Result<T, Infallible>) -> T {
     r.unwrap_or_else(|e| match e {})
+}
+
+/// The probe every channel of an observed run carries: a Perfetto
+/// tracer and an epoch recorder.
+pub type ObsProbe = (ChromeTracer, EpochRecorder);
+
+/// A job in flight, held in memory between slices: its controller
+/// stack, tester run and traffic generator.
+///
+/// A preemptive scheduler parks a paused `Resident` and continues it
+/// with the next [`slice`](Self::slice) — no snapshot, no restore. A
+/// [`snapshot`](Self::snapshot) is taken only when the caller wants the
+/// state on disk, and [`resume`](Self::resume) rebuilds a `Resident`
+/// from one. Chaining slices, with or without a snapshot/resume round
+/// trip in between, yields metrics byte-identical to [`run_job`].
+pub struct Resident<P: Probe = NoProbe> {
+    job: JobSpec,
+    /// [`job_fingerprint`], computed on first use: only durable
+    /// snapshots need it.
+    fp: Option<u64>,
+    backend: Backend<P>,
+    gen: Box<dyn SnapGen>,
+    /// The tester run; `None` once the job has finished.
+    run: Option<TestRun>,
+    /// Simulated end of the finished run.
+    end: Tick,
+}
+
+impl<P: Probe> std::fmt::Debug for Resident<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Resident")
+            .field("job", &self.job.label())
+            .field("injected", &self.injected())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Probe> Resident<P> {
+    /// The stack for `job`, each channel carrying `probe(ch)`. `event`
+    /// turns a channel's configuration into its controller, so the
+    /// plain path can take a worker's cached one.
+    fn build(
+        job: JobSpec,
+        probe: impl Fn(u32) -> P,
+        mut event: impl FnMut(CtrlConfig, u32) -> DramCtrl<P>,
+    ) -> Self {
+        let spec = job_spec(&job);
+        let ras = ras_for_job(&job);
+        let ch_total = job.channels.max(1);
+        let backend = infallible(Backend::build(
+            job.model,
+            job.channels,
+            job.mapping,
+            |ch| {
+                let mut cfg = ev_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
+                cfg.ras = ras.clone();
+                let mut ctrl = event(cfg, ch);
+                ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
+                Ok(ctrl)
+            },
+            |ch| {
+                let mut cfg = cy_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
+                cfg.ras = ras.clone();
+                Ok(CycleCtrl::with_probe(cfg, probe(ch)).expect("valid config"))
+            },
+        ));
+        Self {
+            gen: gen_for_job(&job, &spec),
+            job,
+            fp: None,
+            backend,
+            run: Some(std_tester().begin()),
+            end: 0,
+        }
+    }
+
+    /// Requests injected so far.
+    pub fn injected(&self) -> u64 {
+        self.run
+            .as_ref()
+            .map_or(self.job.requests, TestRun::injected)
+    }
+
+    /// Runs until the job completes or the first request boundary at or
+    /// past `pause_after` injections (see [`Plan::pause_after`]), handing
+    /// a snapshot to `save` every `every` injections (`0`: never).
+    ///
+    /// Only this crate instantiates it: the public `slice` methods are
+    /// concrete per probe type, so a caller in another crate does not
+    /// compile its own copy of the tester loop.
+    fn drive(
+        &mut self,
+        every: u64,
+        pause_after: Option<u64>,
+        save: &mut dyn FnMut(Vec<u8>),
+    ) -> SliceOutcome {
+        let plan = Plan {
+            fp: if every > 0 { self.fingerprint() } else { 0 },
+            every,
+            pause_after,
+            requests: self.job.requests,
+        };
+        let run = self.run.take().expect("slicing a finished job");
+        let save = |bytes| {
+            save(bytes);
+            Ok::<(), Infallible>(())
+        };
+        match infallible(self.backend.drive(run, &mut self.gen, &plan, save)) {
+            Driven::Paused { injected, run } => {
+                self.run = Some(run);
+                SliceOutcome::Paused { injected }
+            }
+            Driven::Done(s) => {
+                self.end = s.duration;
+                SliceOutcome::Done(self.backend.metrics(&s))
+            }
+        }
+    }
+
+    fn fingerprint(&mut self) -> u64 {
+        *self.fp.get_or_insert_with(|| job_fingerprint(&self.job))
+    }
+}
+
+impl Resident {
+    /// A fresh, unobserved run of `job`. A single-channel event job takes
+    /// the worker thread's cached controller (see
+    /// [`retire`](Self::retire)) instead of rebuilding queues and arenas
+    /// — the campaign hot path.
+    ///
+    /// # Panics
+    /// On an unknown device preset or an invalid configuration.
+    pub fn new(job: JobSpec) -> Self {
+        let single = job.channels <= 1;
+        Self::build(
+            job,
+            |_| NoProbe,
+            |cfg, _| {
+                if single {
+                    cached_ev_ctrl(cfg)
+                } else {
+                    DramCtrl::new(cfg).expect("valid config")
+                }
+            },
+        )
+    }
+
+    /// Rebuilds a paused run of `job` from [`snapshot`](Self::snapshot)
+    /// bytes.
+    ///
+    /// # Errors
+    /// A snapshot of another job, or a torn or corrupt one.
+    ///
+    /// # Panics
+    /// Like [`new`](Self::new).
+    pub fn resume(job: JobSpec, bytes: &[u8]) -> Result<Self, SnapError> {
+        let mut r = Self::new(job);
+        let fp = r.fingerprint();
+        let run = r.run.as_mut().expect("a fresh run");
+        r.backend.resume(run, &mut r.gen, bytes, fp)?;
+        Ok(r)
+    }
+
+    /// Runs until the job completes or the first request boundary at or
+    /// past `pause_after` injections (see [`Plan::pause_after`]). A
+    /// paused resident continues with the next call.
+    ///
+    /// # Panics
+    /// If the job has already finished, or on a controller stall.
+    pub fn slice(&mut self, pause_after: Option<u64>) -> SliceOutcome {
+        self.drive(0, pause_after, &mut |_| {})
+    }
+
+    /// Snapshot bytes of the paused job — run, generator, controllers,
+    /// stamped with [`job_fingerprint`] — byte-identical to the
+    /// checkpoint [`run_job_slice`] writes at the same pause point.
+    ///
+    /// # Panics
+    /// If the job has already finished.
+    pub fn snapshot(&mut self) -> Vec<u8> {
+        let fp = self.fingerprint();
+        let run = self.run.as_ref().expect("snapshotting a finished job");
+        self.backend.snapshot(run, &self.gen, fp)
+    }
+
+    /// Drops the resident, retiring a single-channel event controller
+    /// into the worker thread's cache for the next job.
+    pub fn retire(self) {
+        if let Backend::Event(ctrl) = self.backend {
+            retire_ev_ctrl(ctrl);
+        }
+    }
+}
+
+impl Resident<ObsProbe> {
+    /// A fresh run of `job` with every channel observed: a
+    /// [`ChromeTracer`] and an [`EpochRecorder`] binning at
+    /// `epoch_interval` ticks.
+    ///
+    /// # Panics
+    /// On an unknown device preset or an invalid configuration.
+    pub fn observed(job: JobSpec, epoch_interval: Tick) -> Self {
+        let probe = |ch: u32| {
+            (
+                ChromeTracer::for_channel(ch),
+                EpochRecorder::new(epoch_interval),
+            )
+        };
+        Self::build(job, probe, |cfg, ch| {
+            DramCtrl::with_probe(cfg, probe(ch)).expect("valid config")
+        })
+    }
+
+    /// [`Resident::slice`] for an observed run.
+    ///
+    /// # Panics
+    /// If the job has already finished, or on a controller stall.
+    pub fn slice(&mut self, pause_after: Option<u64>) -> SliceOutcome {
+        self.drive(0, pause_after, &mut |_| {})
+    }
+
+    /// The rendered artifacts of a finished observed run.
+    ///
+    /// # Panics
+    /// If the job has not finished.
+    pub fn artifacts(self) -> JobArtifacts {
+        assert!(self.run.is_none(), "artifacts of an unfinished job");
+        let report = self.backend.report(self.end);
+        let mut merged = None;
+        let mut tracers = Vec::new();
+        for (tracer, mut epochs) in self.backend.into_probes() {
+            epochs.finish(self.end);
+            merged
+                .get_or_insert_with(|| EpochRecorder::new(epochs.interval()))
+                .absorb(&epochs);
+            tracers.push(tracer);
+        }
+        let merged = merged.expect("every stack has a channel");
+        JobArtifacts {
+            perfetto_json: ChromeTracer::combined_json(&tracers),
+            epochs_csv: merged.to_csv(),
+            epochs_jsonl: merged.to_jsonl(),
+            stats_json: report.to_json(),
+        }
+    }
 }
 
 /// Observability artifacts produced by [`run_job_observed`], ready to be
@@ -660,36 +850,11 @@ pub struct JobArtifacts {
 /// unobserved [`run_job`] of the same spec — the zero-perturbation
 /// property the differential harness asserts controller-by-controller.
 pub fn run_job_observed(job: &JobSpec, epoch_interval: Tick) -> (JobMetrics, JobArtifacts) {
-    let spec = job_spec(job);
-    let mut gen = gen_for_job(job, &spec);
-    let probe = |ch: u32| {
-        (
-            ChromeTracer::for_channel(ch),
-            EpochRecorder::new(epoch_interval),
-        )
-    };
-    let mut backend = job_backend(job, &spec, probe, |cfg, ch| {
-        DramCtrl::with_probe(cfg, probe(ch)).expect("valid config")
-    });
-    let Driven::Done(s) = drive_job(&mut backend, &mut gen, job, None, 0, None) else {
+    let mut r = Resident::observed(job.clone(), epoch_interval);
+    let SliceOutcome::Done(m) = r.slice(None) else {
         unreachable!("an unpaused run always completes")
     };
-    let m = backend.metrics(&s);
-    let report = backend.report(s.duration);
-    let mut merged = EpochRecorder::new(epoch_interval);
-    let mut tracers = Vec::new();
-    for (tracer, mut epochs) in backend.into_probes() {
-        epochs.finish(s.duration);
-        merged.absorb(&epochs);
-        tracers.push(tracer);
-    }
-    let artifacts = JobArtifacts {
-        perfetto_json: ChromeTracer::combined_json(&tracers),
-        epochs_csv: merged.to_csv(),
-        epochs_jsonl: merged.to_jsonl(),
-        stats_json: report.to_json(),
-    };
-    (m, artifacts)
+    (m, r.artifacts())
 }
 
 #[cfg(test)]
@@ -821,6 +986,93 @@ mod tests {
         assert_eq!(pauses, 2);
         assert_eq!(m, run_job(&jobs[0]));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resident_snapshots_equal_the_checkpoints_chained_slices_write() {
+        let dir = std::env::temp_dir().join(format!("dramctrl-resident-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("job.snap");
+        let _ = std::fs::remove_file(&snap);
+        let jobs = Campaign::new("resident", 17)
+            .channels([1, 2])
+            .requests([3_000])
+            .expand();
+        for job in &jobs {
+            // One resident run paused at the same targets as a chain of
+            // disk-checkpointed slices: every snapshot must match the
+            // checkpoint bytes, and both must finish like run_job.
+            let mut resident = Resident::new(job.clone());
+            let mut target = 1_000;
+            let (m, chained) = loop {
+                let chained = run_job_slice(job, &snap, Some(target));
+                match resident.slice(Some(target)) {
+                    SliceOutcome::Paused { injected } => {
+                        assert_eq!(chained, SliceOutcome::Paused { injected });
+                        assert_eq!(resident.injected(), injected);
+                        assert_eq!(resident.snapshot(), std::fs::read(&snap).unwrap());
+                        target = injected + 1_000;
+                    }
+                    SliceOutcome::Done(m) => break (m, chained),
+                }
+            };
+            assert_eq!(chained, SliceOutcome::Done(m.clone()), "{}", job.label());
+            assert_eq!(m, run_job(job), "{}", job.label());
+            std::fs::remove_file(&snap).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_resumed_resident_finishes_like_an_uninterrupted_run() {
+        let jobs = Campaign::new("resume", 23)
+            .models([Model::Event, Model::Cycle])
+            .requests([2_000])
+            .error_rates([0.0, 2e11])
+            .expand();
+        for job in &jobs {
+            let mut first = Resident::new(job.clone());
+            assert_eq!(
+                first.slice(Some(700)),
+                SliceOutcome::Paused { injected: 700 }
+            );
+            let mut resumed = Resident::resume(job.clone(), &first.snapshot()).unwrap();
+            assert_eq!(resumed.injected(), 700);
+            assert_eq!(
+                resumed.slice(None),
+                SliceOutcome::Done(run_job(job)),
+                "{}",
+                job.label()
+            );
+            // A snapshot never restores into another job.
+            let mut other = job.clone();
+            other.seed ^= 1;
+            assert!(Resident::resume(other, &first.snapshot()).is_err());
+        }
+    }
+
+    #[test]
+    fn a_sliced_observed_run_matches_the_whole_observed_run() {
+        let jobs = Campaign::new("obs-slice", 9)
+            .channels([1, 2])
+            .requests([1_500])
+            .expand();
+        for job in &jobs {
+            let (want_m, want) = run_job_observed(job, 100_000);
+            let mut r = Resident::observed(job.clone(), 100_000);
+            let mut target = 400;
+            let m = loop {
+                match r.slice(Some(target)) {
+                    SliceOutcome::Paused { injected } => target = injected + 400,
+                    SliceOutcome::Done(m) => break m,
+                }
+            };
+            let got = r.artifacts();
+            assert_eq!(m, want_m, "{}", job.label());
+            assert_eq!(got.stats_json, want.stats_json, "{}", job.label());
+            assert_eq!(got.epochs_jsonl, want.epochs_jsonl, "{}", job.label());
+            assert_eq!(got.perfetto_json, want.perfetto_json, "{}", job.label());
+        }
     }
 
     #[test]

@@ -555,15 +555,14 @@ fn simulate<P: Probe>(
         pause_after: ck.at,
         requests,
     };
-    // `RunCkpt::parse` pairs --checkpoint-at with --checkpoint, so a run
-    // that can pause always has a path.
-    let path = ck.checkpoint.as_deref().unwrap_or_default();
-    let save = |bytes: Vec<u8>| {
-        write_atomic(path, bytes).map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))
-    };
-    match backend.drive(run, gen, &plan, save)? {
+    match backend.drive(run, &mut *gen, &plan, |_| Ok::<(), ArgError>(()))? {
         Driven::Done(summary) => Ok(Some(*summary)),
-        Driven::Paused { injected } => {
+        Driven::Paused { injected, run } => {
+            // `RunCkpt::parse` pairs --checkpoint-at with --checkpoint, so
+            // a run that can pause always has a path.
+            let path = ck.checkpoint.as_deref().unwrap_or_default();
+            write_atomic(path, backend.snapshot(&run, &*gen, fp))
+                .map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))?;
             eprintln!(
                 "checkpoint written to {path} at {injected} injected requests; \
                  continue with --restore {path}"
@@ -848,7 +847,7 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
         let paths: Vec<PathBuf> = m.split(',').map(|p| journal_path(p.trim())).collect();
         let report = merge_journals(&campaign, &paths)
             .map_err(|e| ArgError(format!("merging journals: {e}")))?;
-        return finish_report(&a, &report);
+        return finish_report(&a, &report, &report.summary());
     }
 
     // Opt-in operational metrics: the registry outlives the run so the
@@ -1009,12 +1008,16 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
             .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
         eprintln!("wrote executor metrics to {path}");
     }
-    finish_report(&a, &report)
+    finish_report(&a, &report, &report.summary())
 }
 
 /// Writes the report outputs (`--jsonl`, `--md`, the printed table and
-/// summary) and turns failed jobs into a non-zero exit.
-fn finish_report(a: &Args, report: &dramctrl_campaign::CampaignReport) -> Result<(), ArgError> {
+/// the `summary` line) and turns failed jobs into a non-zero exit.
+fn finish_report(
+    a: &Args,
+    report: &dramctrl_campaign::CampaignReport,
+    summary: &str,
+) -> Result<(), ArgError> {
     if let Some(path) = a.get("jsonl") {
         write_atomic(path, report.to_jsonl())
             .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
@@ -1032,7 +1035,7 @@ fn finish_report(a: &Args, report: &dramctrl_campaign::CampaignReport) -> Result
         eprintln!("wrote result table to {path}");
     }
     table.print();
-    eprintln!("{}", report.summary());
+    eprintln!("{summary}");
     if report.failed() > 0 {
         return Err(ArgError(format!("{} job(s) failed", report.failed())));
     }
@@ -1339,15 +1342,33 @@ fn dispatch(argv: Vec<String>) -> Result<(), ArgError> {
     if cfg.max_rounds == 0 {
         return Err(ArgError("--rounds must be at least 1".into()));
     }
+    let started = std::time::Instant::now();
     let (report, stats) =
         dramctrl_serve::dispatch(&campaign, &peers, &cfg).map_err(|e| ArgError(e.to_string()))?;
+    let wall = started.elapsed().as_secs_f64();
     dramctrl_obs::log_info!(
         "dispatch", "campaign complete";
         "jobs" => report.records.len(), "shards" => stats.shards,
         "rounds" => stats.rounds, "redispatches" => stats.redispatches,
         "hedges" => stats.hedges, "peers_lost" => stats.peers_lost
     );
-    finish_report(&a, &report)
+    // The merged report has no executor of its own (its wall time and
+    // worker count are 0), so the summary is the coordinator's.
+    let summary = format!(
+        "dispatch '{}': {} jobs ({} ok, {} failed) in {wall:.2}s wall over {} peers \
+         ({} lost), {} shards, {} rounds, {} re-dispatches, {} hedges",
+        report.name,
+        report.records.len(),
+        report.completed(),
+        report.failed(),
+        peers.len(),
+        stats.peers_lost,
+        stats.shards,
+        stats.rounds,
+        stats.redispatches,
+        stats.hedges,
+    );
+    finish_report(&a, &report, &summary)
 }
 
 fn status(argv: Vec<String>) -> Result<(), ArgError> {

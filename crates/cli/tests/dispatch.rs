@@ -133,6 +133,18 @@ fn healthy_fleet_matches_local_sweep_byte_for_byte() {
         "expected JSON progress events, got:\n{stderr}"
     );
     assert!(stderr.contains("\"msg\":\"shards merged\""), "{stderr}");
+    // The closing summary is the coordinator's, not the merged report's
+    // executor-less zeros.
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("dispatch 'sweep': 10 jobs (10 ok, 0 failed) in "))
+        .unwrap_or_else(|| panic!("no dispatch summary in:\n{stderr}"));
+    assert!(
+        summary.contains("s wall over 3 peers (0 lost), 3 shards, 1 rounds, 0 re-dispatches"),
+        "{summary}"
+    );
+    assert!(!summary.contains(" 0.00s wall"), "{summary}");
+    assert!(!stderr.contains("jobs/s, 0 workers"), "{stderr}");
     assert_eq!(
         std::fs::read(&merged).unwrap(),
         local_reference(&dir),

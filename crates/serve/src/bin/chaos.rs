@@ -18,7 +18,10 @@
 //!   `run_campaign_journaled` + an atomic report write) — the CLI sweep
 //!   path;
 //! - `store`: a serve-store session (`JobStore::accept`, per-job journal,
-//!   unit commits with acks) — the daemon's durable path, minus sockets.
+//!   units sliced and checkpointed by the daemon's own [`InFlight`]
+//!   cycle, unit commits with acks) — the daemon's durable path, minus
+//!   sockets. Crash points fall inside checkpoint writes and between a
+//!   checkpoint and its commit; recovery resumes from the checkpoint.
 //!
 //! The matrix is sized from [`fault::op_count`]: a fault-free reference
 //! run reports how many durability ops the workload performs, and the
@@ -34,10 +37,10 @@
 //! Exit code: 0 when every crash point recovers byte-identically, 1
 //! otherwise. `--report` appends one JSON line per crash point.
 
-use dramctrl_campaign::runner::run_job;
+use dramctrl_campaign::runner::{run_job, SliceOutcome};
 use dramctrl_campaign::{merge_journals, Campaign, CampaignJournal, JobOutcome, JobRecord};
 use dramctrl_kernel::fsio::{fault, write_atomic};
-use dramctrl_serve::JobStore;
+use dramctrl_serve::{InFlight, JobStore};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -49,6 +52,11 @@ fn chaos_campaign() -> Campaign {
         .read_pcts([0, 100])
         .requests([200])
 }
+
+/// The store session's preemption quantum and durability interval:
+/// each 200-request unit pauses three times and checkpoints at every
+/// pause.
+const STORE_QUANTUM: u64 = 50;
 
 // ----- workers ---------------------------------------------------------
 
@@ -90,9 +98,11 @@ fn worker_campaign(dir: &Path) -> Result<(), String> {
 }
 
 /// One serve-store session in `dir`: repair + accept (ack), per-job
-/// journal, one commit per unit (ack each). Idempotent the same way the
-/// daemon's restart recovery is: accepted jobs are re-used, committed
-/// units are skipped.
+/// journal, then per unit: slices with a durable checkpoint at each
+/// pause, one commit (ack), checkpoint removal. Idempotent the same way
+/// the daemon's restart recovery is: accepted jobs are re-used,
+/// committed units are skipped (their stale checkpoints deleted), and
+/// the unit in flight resumes from its checkpoint.
 fn worker_store(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let c = chaos_campaign();
@@ -110,14 +120,27 @@ fn worker_store(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(&jdir).map_err(|e| e.to_string())?;
     let mut journal =
         CampaignJournal::recover(jdir.join("journal.jsonl"), &c).map_err(|e| e.to_string())?;
-    for (i, unit) in c.expand().iter().enumerate() {
+    for (i, unit) in c.expand().into_iter().enumerate() {
+        let snap = JobStore::unit_snap(&jdir, i);
         if journal.completed().contains_key(&i) {
+            let _ = std::fs::remove_file(&snap);
             continue;
         }
-        let metrics = run_job(unit);
+        let mut flight = InFlight::start(unit.clone(), 0, &snap);
+        let metrics = loop {
+            match flight.slice(STORE_QUANTUM) {
+                SliceOutcome::Paused { .. } => {
+                    flight
+                        .checkpoint(&snap, STORE_QUANTUM)
+                        .map_err(|e| e.to_string())?;
+                }
+                SliceOutcome::Done(m) => break m,
+            }
+        };
+        let _ = flight.finish();
         journal
             .commit(&JobRecord {
-                job: unit.clone(),
+                job: unit,
                 outcome: JobOutcome::Completed {
                     metrics,
                     attempts: 1,
@@ -125,6 +148,7 @@ fn worker_store(dir: &Path) -> Result<(), String> {
             })
             .map_err(|e| e.to_string())?;
         println!("ack commit {i}");
+        let _ = std::fs::remove_file(&snap);
     }
     println!("ops={}", fault::op_count());
     Ok(())

@@ -19,6 +19,8 @@
 //!   ack accept log plus one `CampaignJournal` per job.
 //! - [`sched`]: the two-level round-robin [`FairQueue`] (fair across
 //!   tenants, then across one tenant's jobs).
+//! - [`slice`]: one work unit's slice-and-checkpoint cycle
+//!   ([`InFlight`]) — resident between slices, durable on an interval.
 //! - [`server`]: the daemon itself ([`Server`]) — admission control,
 //!   the scheduler thread, crash recovery, event streaming.
 //! - [`client`]: the version-checked [`Client`] the CLI subcommands
@@ -43,6 +45,7 @@ pub mod net;
 pub mod proto;
 pub mod sched;
 pub mod server;
+pub mod slice;
 pub mod store;
 pub mod wire;
 
@@ -54,4 +57,5 @@ pub use net::{Listener, Stream};
 pub use proto::{record_data, VersionInfo, PROTO_VERSION};
 pub use sched::FairQueue;
 pub use server::{ServeConfig, Server, STORE_BACKOFF_MAX, STORE_BACKOFF_START};
+pub use slice::InFlight;
 pub use store::{JobStore, StoredJob};

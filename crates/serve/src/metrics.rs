@@ -187,7 +187,8 @@ impl ServeMetrics {
 
     /// The store-fsync latency histogram for one operation
     /// (`accept` — the admission commit point; `commit` — a unit's
-    /// journal commit).
+    /// journal commit; `checkpoint` — a paused unit's durable
+    /// checkpoint write).
     #[must_use]
     pub fn store_fsync(&self, op: &str) -> Histogram {
         self.registry.histogram(

@@ -6,11 +6,15 @@
 //! One **scheduler thread** runs all simulation work, one quantum at a
 //! time: it pops the next job from the [`FairQueue`], picks the job's
 //! first uncommitted work unit, and runs one slice of it *outside* the
-//! state lock (via [`run_job_slice`], which checkpoints and pauses at the
-//! first request boundary past the quantum target). **Connection
-//! threads** (one per client) only touch state briefly — submit, watch,
-//! status — so a 10-million-request unit in flight never blocks a
-//! submit, and a competing tenant waits at most one quantum.
+//! state lock (an [`InFlight`] slice, which pauses at the first request
+//! boundary past the quantum). A paused unit stays **resident**: its
+//! controller stack, tester run and generator are parked in the job's
+//! state — at most one per job, the unit in flight — and the job's next
+//! turn continues them directly, with no disk round trip. Observed
+//! (`epochs`) units are sliced the same way, probes and all.
+//! **Connection threads** (one per client) only touch state briefly —
+//! submit, watch, status — so a 10-million-request unit in flight never
+//! blocks a submit, and a competing tenant waits at most one quantum.
 //!
 //! ## Durability
 //!
@@ -20,15 +24,21 @@
 //! - submit: accept-log fsync → journal created → `accepted` sent;
 //! - unit done: artifacts written atomically → journal commit (fsync) →
 //!   events broadcast;
-//! - preemption: checkpoint written atomically; the journal is untouched.
+//! - preemption: the unit is parked in memory; once at least
+//!   [`ServeConfig::checkpoint_every`] requests have been injected since
+//!   its last durable checkpoint, its snapshot is also written atomically
+//!   to `unit-NNNNNN.snap` (timed as `store_fsync{op="checkpoint"}`). The
+//!   journal is untouched.
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
-//! are never re-run, the unit in flight resumes from its checkpoint (or
-//! restarts from the last one — re-execution is deterministic, and the
-//! journal's keep-first dedup makes the first commit canonical either
-//! way). Results are byte-identical to a never-killed run, which is
-//! byte-identical to a standalone `dramctrl sweep` of the same campaign.
+//! are never re-run, and the unit in flight resumes from its last
+//! durable checkpoint, or from scratch without one (an observed unit
+//! always restarts: probes are not snapshot state). Re-execution is
+//! deterministic, and the journal's keep-first dedup makes the first
+//! commit canonical either way. Results are byte-identical to a
+//! never-killed run, which is byte-identical to a standalone
+//! `dramctrl sweep` of the same campaign.
 //!
 //! ## Degraded mode
 //!
@@ -43,7 +53,9 @@
 //! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt
 //! repairs the accept log (truncating torn bytes), re-resumes the
 //! damaged journal (truncating its torn tail), re-commits the parked
-//! outcome and probes the store root. The first fully successful
+//! outcome, re-writes an owed checkpoint (a failed checkpoint write
+//! degrades the daemon too, never the unit: it stays parked and loses
+//! no attempt) and probes the store root. The first fully successful
 //! attempt exits degraded mode — no restart, no lost unit, and the
 //! journal bytes are exactly what an unfaulted run would have written.
 //!
@@ -64,9 +76,10 @@ use crate::proto::{
     rejected_event, text_event, VersionInfo,
 };
 use crate::sched::FairQueue;
+use crate::slice::InFlight;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::Value;
-use dramctrl_campaign::runner::{run_job_observed, run_job_slice, JobArtifacts, SliceOutcome};
+use dramctrl_campaign::runner::{JobArtifacts, SliceOutcome};
 use dramctrl_campaign::{
     panic_message, CampaignJournal, JobMetrics, JobOutcome, JobRecord, JobSpec,
 };
@@ -92,8 +105,13 @@ pub struct ServeConfig {
     pub max_jobs: usize,
     /// Preemption quantum in injected requests: a work unit is paused at
     /// the first request boundary at or past this many injections since
-    /// its last pause.
+    /// its last pause. A paused unit stays resident in memory.
     pub quantum: u64,
+    /// Durability interval in injected requests: a pause writes the
+    /// unit's checkpoint to disk only once at least this many requests
+    /// were injected since its last one (`0`: at every pause). A crash
+    /// re-runs at most this much of the unit in flight.
+    pub checkpoint_every: u64,
     /// Per-connection read/write deadline. A client that sends nothing
     /// (or reads nothing) for this long is evicted; `None` disables the
     /// deadline (trusted-network mode).
@@ -109,14 +127,20 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 8 active jobs, 1 000-request quantum, 30 s client
-    /// deadline, 1 024-event subscriber buffers, no GC.
+    /// Defaults: 8 active jobs, 1 000-request quantum, a durable
+    /// checkpoint every 50 000 requests, 30 s client deadline, 1 024-event
+    /// subscriber buffers, no GC.
+    ///
+    /// One checkpoint write (~0.5 ms with its fsyncs) against the ~60 ms
+    /// it takes to simulate 50 000 requests keeps durability under 1% of
+    /// a long unit's time.
     #[must_use]
     pub fn new(store: impl Into<PathBuf>) -> Self {
         Self {
             store: store.into(),
             max_jobs: 8,
             quantum: 1_000,
+            checkpoint_every: 50_000,
             client_timeout: Some(Duration::from_secs(30)),
             subscriber_buffer: 1024,
             retain: None,
@@ -133,57 +157,77 @@ struct JobState {
     journal: CampaignJournal,
     /// Panicked attempts of the unit currently in flight.
     failures: u32,
-    /// Absolute injection target for the current unit's next slice.
-    pause_target: u64,
+    /// The unit in flight, parked between slices (always
+    /// [`next_unit`](Self::next_unit)).
+    parked: Option<Box<InFlight>>,
     /// Live `watch` subscribers (event lines), each behind a bounded
     /// buffer.
     subscribers: Vec<mpsc::SyncSender<String>>,
-}
-
-impl JobState {
-    /// Whether unit `i` belongs to this job's residue-class shard.
-    /// Unsharded jobs own every unit.
-    fn in_shard(&self, i: usize) -> bool {
-        match self.stored.shard {
-            Some((idx, n)) => i % n as usize == idx as usize,
-            None => true,
-        }
-    }
-
     /// Units this job will actually run: the shard size for sharded
     /// jobs, the full campaign otherwise. This is the `total` clients
     /// see in `accepted`/`progress` events.
-    fn total(&self) -> usize {
-        match self.stored.shard {
-            Some(_) => (0..self.units.len()).filter(|&i| self.in_shard(i)).count(),
-            None => self.units.len(),
+    total: usize,
+    /// Committed in-shard units, and how many of them failed.
+    done: usize,
+    failed: usize,
+    /// The first uncommitted in-shard unit, or `units.len()` once none
+    /// is left. Only moves forward: units commit in cursor order, and a
+    /// recovered journal's holes are found by [`recount`](Self::recount).
+    cursor: usize,
+}
+
+impl JobState {
+    fn new(stored: StoredJob, journal: CampaignJournal) -> Self {
+        let units = stored.campaign.expand();
+        let (first, step) = shard_stride(stored.shard);
+        let mut js = Self {
+            total: units.len().saturating_sub(first).div_ceil(step),
+            units,
+            journal,
+            failures: 0,
+            parked: None,
+            subscribers: Vec::new(),
+            done: 0,
+            failed: 0,
+            cursor: first,
+            stored,
+        };
+        js.recount();
+        js
+    }
+
+    /// Re-derives the commit counters and the cursor from the journal —
+    /// once when it is opened, and again whenever it is re-resumed from
+    /// disk.
+    fn recount(&mut self) {
+        let (first, step) = shard_stride(self.stored.shard);
+        let (mut done, mut failed) = (0, 0);
+        for (&i, outcome) in self.journal.completed() {
+            if i >= first && (i - first) % step == 0 {
+                done += 1;
+                failed += usize::from(outcome.is_failed());
+            }
+        }
+        (self.done, self.failed, self.cursor) = (done, failed, first);
+        self.advance_cursor();
+    }
+
+    /// Moves the cursor past committed units.
+    fn advance_cursor(&mut self) {
+        let (_, step) = shard_stride(self.stored.shard);
+        while self.cursor < self.units.len() && self.journal.completed().contains_key(&self.cursor)
+        {
+            self.cursor += step;
         }
     }
 
-    fn done(&self) -> usize {
-        self.journal
-            .completed()
-            .keys()
-            .filter(|&&i| self.in_shard(i))
-            .count()
-    }
-
     fn finished(&self) -> bool {
-        self.done() == self.total()
-    }
-
-    fn failed(&self) -> usize {
-        self.journal
-            .completed()
-            .iter()
-            .filter(|(i, o)| self.in_shard(**i) && o.is_failed())
-            .count()
+        self.done == self.total
     }
 
     /// The first uncommitted in-shard unit — the one to run next.
     fn next_unit(&self) -> Option<usize> {
-        (0..self.units.len())
-            .find(|&i| self.in_shard(i) && !self.journal.completed().contains_key(&i))
+        (self.cursor < self.units.len()).then_some(self.cursor)
     }
 
     /// Sends `line` to every subscriber, evicting any whose bounded
@@ -201,6 +245,12 @@ impl JobState {
                 Err(mpsc::TrySendError::Disconnected(_)) => false,
             });
     }
+}
+
+/// The in-shard units of a job are `first, first + step, …`: a residue
+/// class `(index, count)` for sharded jobs, every unit otherwise.
+fn shard_stride(shard: Option<(u32, u32)>) -> (usize, usize) {
+    shard.map_or((0, 1), |(i, n)| (i as usize, n as usize))
 }
 
 /// Shared daemon state.
@@ -241,6 +291,9 @@ struct Degraded {
     backoff: Backoff,
     next_retry: Instant,
     pending: Option<PendingCommit>,
+    /// The job whose parked unit failed to write its durable
+    /// checkpoint; recovery writes it before declaring the store healthy.
+    owed_checkpoint: Option<String>,
 }
 
 /// First retry delay after entering degraded mode.
@@ -298,14 +351,7 @@ impl Server {
             for &i in journal.completed().keys() {
                 let _ = std::fs::remove_file(JobStore::unit_snap(&dir, i));
             }
-            let js = JobState {
-                units: stored.campaign.expand(),
-                journal,
-                failures: 0,
-                pause_target: cfg.quantum,
-                subscribers: Vec::new(),
-                stored,
-            };
+            let js = JobState::new(stored, journal);
             if !js.finished() {
                 queue.push(&js.stored.tenant, js.stored.id.clone());
             }
@@ -384,8 +430,9 @@ impl Server {
 
     fn scheduler_loop(&self) {
         loop {
-            // Pick the next (job, unit, quantum target) under the lock.
-            let (id, unit, spec, epochs, snap, target) = {
+            // Pick the next (job, unit) under the lock, taking its parked
+            // state — or, for a unit's first slice, what starting it needs.
+            let (id, unit, work, snap) = {
                 let mut st = self.lock();
                 loop {
                     // Degraded: the store owes us a commit (or at least a
@@ -424,16 +471,13 @@ impl Server {
                         }
                         st.running = Some((id.clone(), unit));
                         sync_queue_gauges(&self.inner.metrics, &st);
-                        let js = &st.jobs[&id];
-                        let dir = st.store.job_dir(&id);
-                        break (
-                            id.clone(),
-                            unit,
-                            js.units[unit].clone(),
-                            js.stored.epochs,
-                            JobStore::unit_snap(&dir, unit),
-                            js.pause_target,
-                        );
+                        let snap = JobStore::unit_snap(&st.store.job_dir(&id), unit);
+                        let js = st.jobs.get_mut(&id).expect("picked above");
+                        let work = match js.parked.take() {
+                            Some(parked) => Work::Resume(parked),
+                            None => Work::Start(js.units[unit].clone(), js.stored.epochs),
+                        };
+                        break (id, unit, work, snap);
                     }
                     st = self
                         .inner
@@ -444,34 +488,41 @@ impl Server {
             };
 
             // Run the slice outside the lock: submits, watches and other
-            // tenants' turns are never blocked by simulation work.
+            // tenants' turns are never blocked by simulation work. A
+            // pause that is due a durable checkpoint writes it here too.
+            let cfg = &self.inner.cfg;
             let sliced = catch_unwind(AssertUnwindSafe(|| {
-                if epochs > 0 {
-                    // Observed units carry probes (not snapshot state), so
-                    // they run whole; artifacts ride along.
-                    let (m, artifacts) = run_job_observed(&spec, epochs);
-                    Unit::Done(m, Some(artifacts))
-                } else {
-                    match run_job_slice(&spec, &snap, Some(target)) {
-                        SliceOutcome::Done(m) => Unit::Done(m, None),
-                        SliceOutcome::Paused { injected } => Unit::Paused { injected },
+                let mut unit = match work {
+                    Work::Resume(parked) => *parked,
+                    Work::Start(spec, epochs) => InFlight::start(spec, epochs, &snap),
+                };
+                match unit.slice(cfg.quantum) {
+                    SliceOutcome::Paused { .. } => {
+                        let checkpoint = unit.checkpoint(&snap, cfg.checkpoint_every);
+                        Unit::Paused(Box::new(unit), checkpoint)
                     }
+                    SliceOutcome::Done(m) => Unit::Done(m, unit.finish()),
                 }
             }));
 
             let mut st = self.lock();
             let st = &mut *st; // split-borrow jobs and queue below
             let m = &self.inner.metrics;
-            let quantum = self.inner.cfg.quantum;
             st.running = None;
             if !st.jobs.contains_key(&id) {
                 continue;
             }
             match sliced {
-                Ok(Unit::Paused { injected }) => {
+                Ok(Unit::Paused(parked, checkpoint)) => {
                     m.preemptions.inc();
-                    let js = st.jobs.get_mut(&id).expect("checked above");
-                    js.pause_target = injected + quantum;
+                    st.jobs.get_mut(&id).expect("checked above").parked = Some(parked);
+                    match checkpoint {
+                        Ok(Some(took)) => m.store_fsync("checkpoint").observe(took.as_secs_f64()),
+                        Ok(None) => {}
+                        // The unit stays parked and loses no attempt: the
+                        // store failed, not the simulation.
+                        Err(e) => self.owe_checkpoint(st, &id, &e.to_string()),
+                    }
                     requeue(st, &id);
                 }
                 Ok(Unit::Done(metrics, artifacts)) => {
@@ -487,11 +538,11 @@ impl Server {
                 Err(payload) => {
                     // A panicked slice restarts its unit from scratch:
                     // the checkpoint may be mid-flight state of the very
-                    // attempt that died.
+                    // attempt that died, and its parked state went down
+                    // with it.
                     let _ = std::fs::remove_file(&snap);
                     let js = st.jobs.get_mut(&id).expect("checked above");
                     js.failures += 1;
-                    js.pause_target = quantum;
                     if js.failures >= MAX_ATTEMPTS {
                         let outcome = JobOutcome::Failed {
                             panic_msg: panic_message(payload.as_ref()),
@@ -511,6 +562,36 @@ impl Server {
             }
             sync_queue_gauges(m, st);
         }
+    }
+
+    /// Enters degraded mode for a failed checkpoint write of job `id`'s
+    /// parked unit; recovery re-writes the checkpoint before it declares
+    /// the store healthy.
+    fn owe_checkpoint(&self, st: &mut State, id: &str, reason: &str) {
+        self.enter_degraded(st, reason, None);
+        if let Some(d) = st.degraded.as_mut() {
+            d.owed_checkpoint.get_or_insert_with(|| id.to_owned());
+        }
+    }
+
+    /// Writes the owed checkpoint of job `id`'s parked unit, timed like
+    /// every durable checkpoint.
+    fn write_owed_checkpoint(&self, st: &mut State, id: &str) -> io::Result<()> {
+        let dir = st.store.job_dir(id);
+        let Some(js) = st.jobs.get_mut(id) else {
+            return Ok(());
+        };
+        let (Some(unit), Some(parked)) = (js.next_unit(), js.parked.as_mut()) else {
+            return Ok(());
+        };
+        let snap = JobStore::unit_snap(&dir, unit);
+        if let Some(took) = parked.checkpoint(&snap, self.inner.cfg.checkpoint_every)? {
+            self.inner
+                .metrics
+                .store_fsync("checkpoint")
+                .observe(took.as_secs_f64());
+        }
+        Ok(())
     }
 
     /// Durably finishes a unit, or parks it and enters degraded mode if
@@ -547,16 +628,16 @@ impl Server {
                         format!("re-resuming journal for {}: {e}", p.id),
                     )
                 })?;
+            js.recount();
         }
         // Artifacts land (atomically) before the commit: a crash in
         // between re-runs the unit and rewrites them bit-identically.
         if let Some(a) = &p.artifacts {
             write_unit_artifacts(&dir, p.unit, a)?;
         }
-        commit_unit(js, p.unit, p.outcome.clone(), p.artifacts.as_ref(), m)?;
+        commit_unit(js, p.unit, &p.outcome, p.artifacts.as_ref(), m)?;
         let _ = std::fs::remove_file(JobStore::unit_snap(&dir, p.unit));
         js.failures = 0;
-        js.pause_target = self.inner.cfg.quantum;
         m.tenant_served(&js.stored.tenant).inc();
         if p.outcome.is_failed() {
             m.units_failed.inc();
@@ -609,6 +690,7 @@ impl Server {
                     backoff,
                     next_retry: now + first,
                     pending,
+                    owed_checkpoint: None,
                 });
                 self.inner.work.notify_all();
             }
@@ -631,6 +713,13 @@ impl Server {
                         d.pending = Some(p);
                     }
                     return Err(e);
+                }
+            }
+            let owed = st.degraded.as_ref().and_then(|d| d.owed_checkpoint.clone());
+            if let Some(id) = owed {
+                self.write_owed_checkpoint(st, &id)?;
+                if let Some(d) = st.degraded.as_mut() {
+                    d.owed_checkpoint = None;
                 }
             }
             // An end-to-end writability probe through the same fsio
@@ -810,15 +899,8 @@ impl Server {
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
-        let js = JobState {
-            units: campaign.expand(),
-            journal,
-            failures: 0,
-            pause_target: self.inner.cfg.quantum,
-            subscribers: Vec::new(),
-            stored,
-        };
-        let (id, total) = (js.stored.id.clone(), js.total());
+        let js = JobState::new(stored, journal);
+        let (id, total) = (js.stored.id.clone(), js.total);
         st.queue.push(&js.stored.tenant, id.clone());
         st.queued_at.insert(id.clone(), Instant::now());
         st.jobs.insert(id.clone(), js);
@@ -857,9 +939,9 @@ impl Server {
                     }
                 }
             }
-            replay.push(progress_event(id, js.done(), js.total()));
+            replay.push(progress_event(id, js.done, js.total));
             if js.finished() {
-                replay.push(done_event(id, js.done() - js.failed(), js.failed()));
+                replay.push(done_event(id, js.done - js.failed, js.failed));
                 (replay, None)
             } else {
                 // Subscribe under the same lock that replayed: commits
@@ -1029,9 +1111,9 @@ fn jobs_tenants_json(st: &State) -> String {
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
             json_str(id),
             json_str(&js.stored.tenant),
-            js.done(),
-            js.failed(),
-            js.total(),
+            js.done,
+            js.failed,
+            js.total,
             json_str(if js.finished() { "done" } else { "active" }),
             match js.stored.shard {
                 Some((i, n)) => format!(",\"shard\":\"{i}/{n}\""),
@@ -1050,8 +1132,8 @@ fn jobs_tenants_json(st: &State) -> String {
             running: None,
         });
         roll.active += usize::from(!js.finished());
-        roll.served += js.done();
-        roll.failed += js.failed();
+        roll.served += js.done;
+        roll.failed += js.failed;
         if let Some(u) = running_unit {
             roll.running = Some((id.clone(), u));
         }
@@ -1163,10 +1245,21 @@ fn sync_queue_gauges(m: &ServeMetrics, st: &State) {
     }
 }
 
+/// What a picked unit's slice starts from.
+enum Work {
+    /// The unit's parked state.
+    Resume(Box<InFlight>),
+    /// The unit's spec and epoch interval: its first slice since it was
+    /// picked up (or since the daemon started).
+    Start(JobSpec, u64),
+}
+
 /// Result of one scheduler slice.
 enum Unit {
     Done(JobMetrics, Option<JobArtifacts>),
-    Paused { injected: u64 },
+    /// Paused: the state to park, and how its checkpoint went — how long
+    /// a durable write took, `None` when none was due, or the error.
+    Paused(Box<InFlight>, io::Result<Option<Duration>>),
 }
 
 /// Writes an observed unit's artifacts atomically next to the journal.
@@ -1199,28 +1292,28 @@ fn write_unit_artifacts(dir: &std::path::Path, unit: usize, a: &JobArtifacts) ->
 fn commit_unit(
     js: &mut JobState,
     unit: usize,
-    outcome: JobOutcome,
+    outcome: &JobOutcome,
     artifacts: Option<&JobArtifacts>,
     m: &ServeMetrics,
 ) -> io::Result<()> {
-    let rec = JobRecord {
-        job: js.units[unit].clone(),
-        outcome,
-    };
     let fsync_started = Instant::now();
-    js.journal.commit(&rec)?;
+    let (new, line) = js.journal.commit_rendered(&js.units[unit], outcome)?;
     m.store_fsync("commit")
         .observe(fsync_started.elapsed().as_secs_f64());
+    if new {
+        js.done += 1;
+        js.failed += usize::from(outcome.is_failed());
+        js.advance_cursor();
+    }
     let id = js.stored.id.clone();
-    let line = rec.render(&js.stored.campaign.name);
     js.broadcast(&record_event(&id, unit, &line), m);
     if let Some(a) = artifacts {
         js.broadcast(&text_event("stats", &id, unit, &a.stats_json), m);
         js.broadcast(&text_event("epochs", &id, unit, &a.epochs_jsonl), m);
     }
-    js.broadcast(&progress_event(&id, js.done(), js.total()), m);
+    js.broadcast(&progress_event(&id, js.done, js.total), m);
     if js.finished() {
-        js.broadcast(&done_event(&id, js.done() - js.failed(), js.failed()), m);
+        js.broadcast(&done_event(&id, js.done - js.failed, js.failed), m);
         js.subscribers.clear();
     }
     Ok(())
@@ -1241,7 +1334,115 @@ fn requeue(st: &mut State, id: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dramctrl_campaign::Campaign;
+    use dramctrl_campaign::{Campaign, JobMetrics};
+
+    fn stored(c: &Campaign, shard: Option<(u32, u32)>) -> StoredJob {
+        StoredJob {
+            id: "job-0001".into(),
+            tenant: "t".into(),
+            epochs: 0,
+            campaign: c.clone(),
+            shard,
+        }
+    }
+
+    /// Asserts the O(1) counters against brute-force scans of the
+    /// journal, the way they were computed before they were counters.
+    fn assert_counters_match_scans(js: &JobState) {
+        let in_shard = |i: usize| match js.stored.shard {
+            Some((idx, n)) => i % n as usize == idx as usize,
+            None => true,
+        };
+        let done = js.journal.completed().keys().filter(|&&i| in_shard(i));
+        let failed = js
+            .journal
+            .completed()
+            .iter()
+            .filter(|(&i, o)| in_shard(i) && o.is_failed())
+            .count();
+        let total = (0..js.units.len()).filter(|&i| in_shard(i)).count();
+        let next =
+            (0..js.units.len()).find(|&i| in_shard(i) && !js.journal.completed().contains_key(&i));
+        assert_eq!(js.done, done.count(), "done");
+        assert_eq!(js.failed, failed, "failed");
+        assert_eq!(js.total, total, "total");
+        assert_eq!(js.next_unit(), next, "next_unit");
+        assert_eq!(js.finished(), next.is_none(), "finished");
+    }
+
+    #[test]
+    fn commit_counters_match_brute_force_scans() {
+        let dir = std::env::temp_dir().join(format!("dramctrl-serve-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let c = Campaign::new("count", 3)
+            .read_pcts([0, 25, 50, 75, 100])
+            .requests([10, 20]);
+        let units = c.expand();
+        assert_eq!(units.len(), 10);
+        let m = ServeMetrics::new();
+        // Units fail at every third index, so both counters move.
+        let outcome = |i: usize| {
+            if i % 3 == 0 {
+                JobOutcome::Failed {
+                    panic_msg: format!("unit {i}"),
+                    attempts: 2,
+                }
+            } else {
+                let mut metrics = JobMetrics::new();
+                metrics.set("reads", i as f64);
+                JobOutcome::Completed {
+                    metrics,
+                    attempts: 1,
+                }
+            }
+        };
+        for (k, shard) in [None, Some((0, 3)), Some((1, 3)), Some((2, 4))]
+            .into_iter()
+            .enumerate()
+        {
+            let path = dir.join(format!("fresh-{k}.jsonl"));
+            let mut js = JobState::new(
+                stored(&c, shard),
+                CampaignJournal::create(&path, &c).unwrap(),
+            );
+            assert_counters_match_scans(&js);
+            while let Some(i) = js.next_unit() {
+                commit_unit(&mut js, i, &outcome(i), None, &m).unwrap();
+                assert_counters_match_scans(&js);
+            }
+            assert!(js.finished());
+        }
+        // A recovered journal with holes: units {0, 2, 5} committed by an
+        // earlier process, every other unit still owed.
+        for shard in [None, Some((0, 2)), Some((1, 2))] {
+            let path = dir.join("holes.jsonl");
+            let _ = std::fs::remove_file(&path);
+            let mut j = CampaignJournal::create(&path, &c).unwrap();
+            for i in [0, 2, 5] {
+                j.commit(&JobRecord {
+                    job: units[i].clone(),
+                    outcome: outcome(i),
+                })
+                .unwrap();
+            }
+            drop(j);
+            let journal = CampaignJournal::recover(&path, &c).unwrap();
+            let mut js = JobState::new(stored(&c, shard), journal);
+            assert_counters_match_scans(&js);
+            while let Some(i) = js.next_unit() {
+                assert!(![0, 2, 5].contains(&i), "committed unit {i} re-run");
+                commit_unit(&mut js, i, &outcome(i), None, &m).unwrap();
+                assert_counters_match_scans(&js);
+                // Re-resuming the journal from disk re-derives the same
+                // counters.
+                js.journal = CampaignJournal::resume(&path, &c).unwrap();
+                js.recount();
+                assert_counters_match_scans(&js);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn broadcast_evicts_full_subscribers_and_prunes_hangups() {
@@ -1250,20 +1451,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let c = Campaign::new("b", 1).read_pcts([50]).requests([10]);
         let journal = CampaignJournal::create(dir.join("j.jsonl"), &c).unwrap();
-        let mut js = JobState {
-            stored: StoredJob {
-                id: "job-0001".into(),
-                tenant: "t".into(),
-                epochs: 0,
-                campaign: c.clone(),
-                shard: None,
-            },
-            units: c.expand(),
-            journal,
-            failures: 0,
-            pause_target: 0,
-            subscribers: Vec::new(),
-        };
+        let mut js = JobState::new(stored(&c, None), journal);
         let m = ServeMetrics::new();
         let (tx_full, _rx_never_drained) = mpsc::sync_channel(1);
         let (tx_gone, rx_gone) = mpsc::sync_channel(1);

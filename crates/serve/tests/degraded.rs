@@ -40,9 +40,10 @@ fn reference(c: &Campaign, dir: &PathBuf) -> (String, String) {
     (report, std::fs::read_to_string(&jpath).unwrap())
 }
 
-/// Daemon on an ephemeral TCP port with a quantum so large no unit ever
-/// pauses — no checkpoint writes, so a store-wide fault filter only ever
-/// hits the accept log, the journals and the recovery probe.
+/// Daemon on an ephemeral TCP port. Tests whose fault filter covers the
+/// whole store set a quantum so large that no unit ever pauses, so the
+/// filter only ever hits the accept log, the journals and the recovery
+/// probe; the checkpoint-failure test filters on checkpoint paths alone.
 fn spawn(cfg: ServeConfig) -> (String, Server) {
     spawn_at(cfg, "127.0.0.1:0")
 }
@@ -193,6 +194,53 @@ fn torn_commit_parks_the_outcome_and_recovery_lands_it_byte_identically() {
     });
     let text = server.metrics_exposition();
     assert!(text.contains("dramctrl_store_degraded 0"), "{text}");
+}
+
+#[test]
+fn a_failed_checkpoint_write_degrades_the_daemon_and_costs_the_unit_nothing() {
+    let root = tmp("ckpt");
+    let store = root.join("store");
+    let mut cfg = ServeConfig::new(&store);
+    cfg.quantum = 1_000;
+    cfg.checkpoint_every = cfg.quantum;
+    let (addr, server) = spawn(cfg);
+    let c = campaign("sweep");
+    let (want, want_journal) = reference(&c, &root.join("ref"));
+
+    // Every checkpoint write of this store's first job fails; its
+    // accept line, journal and the recovery probe are untouched.
+    let unit_files = store.join("job-0001").join("unit-");
+    let guard = fault::arm_str(&format!("enospc,path={}", unit_files.display())).unwrap();
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("alice", 0, &c).unwrap();
+    assert_eq!(id, "job-0001");
+
+    // The first pause's checkpoint write fails: the daemon degrades —
+    // and stays degraded, because recovery owes that checkpoint.
+    wait_until("degraded mode", Duration::from_secs(10), || {
+        server.health().is_err()
+    });
+    let body = server.health().unwrap_err();
+    assert!(body.contains("writing checkpoint"), "{body}");
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(server.health().is_err(), "recovery without the checkpoint");
+
+    // Heal the store: the parked unit continues where it paused, and no
+    // unit ever counted the store's failure as a failed attempt.
+    drop(guard);
+    let got = collect_records(&mut client, &id);
+    assert_eq!(got, want);
+    assert_eq!(got.matches("\"attempts\":1").count(), 3, "{got}");
+    let journal = std::fs::read_to_string(store.join(&id).join("journal.jsonl")).unwrap();
+    assert_eq!(journal, want_journal);
+    wait_until("degraded exit", Duration::from_secs(10), || {
+        server.health().is_ok()
+    });
+    let text = server.metrics_exposition();
+    assert!(
+        text.contains("dramctrl_store_fsync_seconds_count{op=\"checkpoint\"}"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -622,3 +622,188 @@ fn retain_gc_evicts_oldest_finished_jobs_and_spares_the_rest() {
     assert!(!store.join(&ids[1]).exists());
     assert!(store.join(&ids[2]).exists(), "newest finished job retained");
 }
+
+/// The value of the sample line `name` (labels included) in a
+/// Prometheus exposition, or 0 when the series is absent.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Runs `c` on a fresh daemon with `cfg`'s quantum and durability
+/// interval, and returns how many durable checkpoints it wrote.
+fn durable_checkpoints(root: &std::path::Path, c: &Campaign, cfg: ServeConfig) -> u64 {
+    let server = Server::open(cfg).expect("open store");
+    server.start_scheduler();
+    let listener = Listener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr();
+    {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            let _ = server.serve(&listener);
+        });
+    }
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("alice", 0, c).unwrap();
+    let mut records = std::collections::BTreeMap::new();
+    client
+        .watch(&id, |v, line| {
+            if v.get("event").and_then(Value::as_str) == Some("record") {
+                let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
+                records.insert(i, proto::record_data(line).unwrap().to_owned());
+            }
+        })
+        .unwrap();
+    let got: String = records.into_values().map(|l| l + "\n").collect();
+    assert_eq!(got, reference_jsonl(c, &root.join("ref")));
+    sample(
+        &server.metrics_exposition(),
+        "dramctrl_store_fsync_seconds_count{op=\"checkpoint\"}",
+    )
+}
+
+/// Replays the daemon's slicing and durability rules on chained disk
+/// slices: pause at `injected + quantum`, write a checkpoint when at
+/// least `every` requests were injected since the last one.
+fn replayed_checkpoints(dir: &std::path::Path, c: &Campaign, quantum: u64, every: u64) -> u64 {
+    use dramctrl_campaign::runner::{run_job_slice, SliceOutcome};
+    std::fs::create_dir_all(dir).unwrap();
+    let mut writes = 0;
+    for (i, unit) in c.expand().iter().enumerate() {
+        let ckpt = dir.join(format!("u{i}.snap"));
+        let (mut target, mut durable_at) = (quantum, 0);
+        while let SliceOutcome::Paused { injected } = run_job_slice(unit, &ckpt, Some(target)) {
+            if injected - durable_at >= every {
+                writes += 1;
+                durable_at = injected;
+            }
+            target = injected + quantum;
+        }
+    }
+    writes
+}
+
+#[test]
+fn durable_checkpoints_follow_the_durability_interval() {
+    let root = tmp("durable");
+    let c = campaign("sweep");
+    let mut cfg = ServeConfig::new(root.join("store"));
+    cfg.quantum = 700;
+    cfg.checkpoint_every = 3 * cfg.quantum;
+    let want = replayed_checkpoints(&root.join("replay"), &c, 700, 2_100);
+    assert_eq!(want, 6, "two durable checkpoints per 5 000-request unit");
+    assert_eq!(durable_checkpoints(&root, &c, cfg), want);
+
+    // At the defaults, a 100 000-request unit pauses 99 times but writes
+    // exactly one durable checkpoint.
+    let long = Campaign::new("long", 5).read_pcts([67]).requests([100_000]);
+    let cfg = ServeConfig::new(root.join("store-long"));
+    assert_eq!((cfg.quantum, cfg.checkpoint_every), (1_000, 50_000));
+    assert_eq!(durable_checkpoints(&root.join("long"), &long, cfg), 1);
+}
+
+#[test]
+fn a_unit_restarted_from_a_mid_run_checkpoint_commits_run_jobs_record() {
+    use dramctrl_campaign::runner::Resident;
+    use dramctrl_campaign::runner::SliceOutcome;
+    let root = tmp("mid-run");
+    let store = root.join("store");
+    let c = campaign("sweep");
+    let want = reference_jsonl(&c, &root.join("ref"));
+
+    // The store a daemon killed mid-unit leaves behind: an accepted job,
+    // a journal header, and unit 0's checkpoint at 2 500 injections.
+    let (id, snap) = {
+        let (mut js, _) = dramctrl_serve::JobStore::open(&store).unwrap();
+        let stored = js.accept("alice", 0, &c).unwrap();
+        let dir = js.job_dir(&stored.id);
+        CampaignJournal::create(dir.join("journal.jsonl"), &c).unwrap();
+        let mut unit0 = Resident::new(c.expand()[0].clone());
+        assert_eq!(
+            unit0.slice(Some(2_500)),
+            SliceOutcome::Paused { injected: 2_500 }
+        );
+        let snap = dramctrl_serve::JobStore::unit_snap(&dir, 0);
+        std::fs::write(&snap, unit0.snapshot()).unwrap();
+        (stored.id, snap)
+    };
+
+    let (addr, _http, server) = spawn_daemon_http(store.clone(), 1_000);
+    let mut client = Client::connect(&addr).unwrap();
+    let mut records = std::collections::BTreeMap::new();
+    client
+        .watch(&id, |v, line| {
+            if v.get("event").and_then(Value::as_str) == Some("record") {
+                let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
+                records.insert(i, proto::record_data(line).unwrap().to_owned());
+            }
+        })
+        .unwrap();
+    let got: String = records.into_values().map(|l| l + "\n").collect();
+    assert_eq!(got, want, "resumed unit's record == run_job's");
+    assert!(!snap.exists(), "a committed unit's checkpoint is deleted");
+    // Unit 0 resumed at 2 500 and paused at 3 500 and 4 500; units 1
+    // and 2 ran from scratch with four pauses each. A unit restarted
+    // from scratch would have paused four times too.
+    let text = server.metrics_exposition();
+    assert_eq!(sample(&text, "dramctrl_sched_preemptions_total"), 2 + 4 + 4);
+}
+
+#[test]
+fn observed_units_are_preempted_and_stream_run_job_observeds_artifacts() {
+    use dramctrl_campaign::runner::run_job_observed;
+    let root = tmp("observed-preempt");
+    let (addr, _http, server) = spawn_daemon_http(root.join("store"), 250);
+    let long = Campaign::new("obs-long", 9)
+        .read_pcts([50])
+        .requests([20_000]);
+    let short = Campaign::new("short", 4).read_pcts([0]).requests([300]);
+    let epochs = 1_000_000;
+
+    let mut ka = Client::connect(&addr).unwrap();
+    let (ia, _) = ka.submit("alice", epochs, &long).unwrap();
+    let mut kb = Client::connect(&addr).unwrap();
+    let (ib, _) = kb.submit("bob", 0, &short).unwrap();
+
+    // Bob's short job finishes while alice's observed unit is still
+    // being sliced: the observed unit yields its turn at every quantum.
+    kb.watch(&ib, |_, _| {}).unwrap();
+    let status = kb.status().unwrap();
+    let jobs = status.get("jobs").and_then(Value::as_arr).unwrap();
+    let alice = jobs
+        .iter()
+        .find(|j| j.get("id").and_then(Value::as_str) == Some(ia.as_str()))
+        .unwrap();
+    assert_eq!(
+        alice.get("state").and_then(Value::as_str),
+        Some("active"),
+        "the short job finished first"
+    );
+
+    let (mut stats, mut epoch_text) = (None, None);
+    ka.watch(&ia, |v, _| match v.get("event").and_then(Value::as_str) {
+        Some("stats") => stats = v.get("text").and_then(Value::as_str).map(str::to_owned),
+        Some("epochs") => epoch_text = v.get("text").and_then(Value::as_str).map(str::to_owned),
+        _ => {}
+    })
+    .unwrap();
+    let (_, want) = run_job_observed(&long.expand()[0], epochs);
+    assert_eq!(stats.as_deref(), Some(want.stats_json.as_str()));
+    assert_eq!(epoch_text.as_deref(), Some(want.epochs_jsonl.as_str()));
+    let text = server.metrics_exposition();
+    // Alice's unit pauses at 250, 500, …, 19 750; bob's once, at 250.
+    assert_eq!(
+        sample(&text, "dramctrl_sched_preemptions_total"),
+        79 + 1,
+        "the observed unit was preempted at every quantum:\n{text}"
+    );
+    // Probes are not snapshot state: an observed unit never checkpoints.
+    assert_eq!(
+        sample(
+            &text,
+            "dramctrl_store_fsync_seconds_count{op=\"checkpoint\"}"
+        ),
+        0
+    );
+}

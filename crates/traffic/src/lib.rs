@@ -67,6 +67,8 @@ impl<T: TrafficGen + ?Sized> TrafficGen for Box<T> {
 /// Every generator in this crate implements it (blanket impl), and
 /// `Box<dyn SnapGen>` is itself both a generator and snapshottable, so
 /// run-time-selected workloads participate in crash-safe checkpoints.
-pub trait SnapGen: TrafficGen + dramctrl_kernel::snap::SnapState {}
+/// It is `Send`, so a paused run can be parked in shared state and
+/// continued on another thread.
+pub trait SnapGen: TrafficGen + dramctrl_kernel::snap::SnapState + Send {}
 
-impl<T: TrafficGen + dramctrl_kernel::snap::SnapState> SnapGen for T {}
+impl<T: TrafficGen + dramctrl_kernel::snap::SnapState + Send> SnapGen for T {}
