@@ -18,7 +18,7 @@
 //! specification is rejected loudly via the header hash.
 
 use crate::exec::JobOutcome;
-use crate::report::{render_parts, render_record, JobMetrics, JobRecord};
+use crate::report::{render_parts, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::fsio::{self, DurableAppender};
 use dramctrl_kernel::json::json_str;
@@ -270,12 +270,8 @@ impl CampaignJournal {
     /// Any I/O error from appending or syncing; the record is then *not*
     /// committed and the job must be treated as not done.
     pub fn commit(&mut self, record: &JobRecord) -> io::Result<bool> {
-        if self.completed.contains_key(&record.job.index) {
-            return Ok(false);
-        }
-        let line = render_record(&self.campaign_name, record);
-        self.append(record.job.index, &record.outcome, &line)?;
-        Ok(true)
+        self.commit_rendered(&record.job, &record.outcome)
+            .map(|(new, _)| new)
     }
 
     /// [`commit`](Self::commit) from borrowed parts, also handing back
@@ -538,9 +534,10 @@ pub fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
 
 /// Parses one record line back into `(job index, outcome)`.
 ///
-/// The parser walks the fixed field order [`render_record`] emits, so it
-/// needs no general JSON machinery; metric values round-trip exactly
-/// because the renderer uses Rust's shortest-round-trip float formatting.
+/// The parser walks the fixed field order
+/// [`render_record`](crate::report::render_record) emits, so it needs no
+/// general JSON machinery; metric values round-trip exactly because the
+/// renderer uses Rust's shortest-round-trip float formatting.
 fn parse_record(line: &str) -> Result<(usize, JobOutcome), String> {
     let mut c = Cursor::new(line);
     c.lit("{\"campaign\":")?;
@@ -615,7 +612,7 @@ fn parse_f64(raw: &str) -> Result<f64, String> {
 }
 
 /// A cursor over one journal line, consuming the exact grammar
-/// [`render_record`] writes.
+/// [`render_record`](crate::report::render_record) writes.
 struct Cursor<'a> {
     s: &'a str,
     pos: usize,
@@ -729,6 +726,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_record;
     use crate::spec::Campaign;
 
     fn tmp(name: &str) -> PathBuf {

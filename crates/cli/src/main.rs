@@ -154,8 +154,10 @@ SERVICE OPTIONS:
       --max-jobs N       admission bound: reject submits at N unfinished
                          jobs (default 8)
       --quantum N        preemption quantum in injected requests: long
-                         jobs checkpoint-pause at request boundaries so
-                         tenants share the simulator fairly (default 1000)
+                         jobs pause at request boundaries so tenants
+                         share the simulator fairly; a paused unit stays
+                         in memory and is checkpointed to the store
+                         every 50 quanta (default 1000)
       --http ADDR        also serve read-only HTTP observability
                          endpoints on ADDR (path or host:port):
                          /metrics (Prometheus), /metrics.json, /healthz

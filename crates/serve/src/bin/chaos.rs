@@ -128,7 +128,7 @@ fn worker_store(dir: &Path) -> Result<(), String> {
         }
         let mut flight = InFlight::start(unit.clone(), 0, &snap);
         let metrics = loop {
-            match flight.slice(STORE_QUANTUM) {
+            match flight.slice(Some(STORE_QUANTUM)) {
                 SliceOutcome::Paused { .. } => {
                     flight
                         .checkpoint(&snap, STORE_QUANTUM)

@@ -11,7 +11,9 @@
 //! controller stack, tester run and generator are parked in the job's
 //! state — at most one per job, the unit in flight — and the job's next
 //! turn continues them directly, with no disk round trip. Observed
-//! (`epochs`) units are sliced the same way, probes and all.
+//! (`epochs`) units are sliced the same way, probes and all — but their
+//! traces grow with every request, so at most one observed unit is
+//! parked at a time: while one is, another observed unit runs whole.
 //! **Connection threads** (one per client) only touch state briefly —
 //! submit, watch, status — so a 10-million-request unit in flight never
 //! blocks a submit, and a competing tenant waits at most one quantum.
@@ -25,10 +27,10 @@
 //! - unit done: artifacts written atomically → journal commit (fsync) →
 //!   events broadcast;
 //! - preemption: the unit is parked in memory; once at least
-//!   [`ServeConfig::checkpoint_every`] requests have been injected since
-//!   its last durable checkpoint, its snapshot is also written atomically
-//!   to `unit-NNNNNN.snap` (timed as `store_fsync{op="checkpoint"}`). The
-//!   journal is untouched.
+//!   [`ServeConfig::checkpoint_every`] requests (50 quanta) have been
+//!   injected since its last durable checkpoint, its snapshot is also
+//!   written atomically to `unit-NNNNNN.snap` (timed as
+//!   `store_fsync{op="checkpoint"}`). The journal is untouched.
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
@@ -107,11 +109,6 @@ pub struct ServeConfig {
     /// the first request boundary at or past this many injections since
     /// its last pause. A paused unit stays resident in memory.
     pub quantum: u64,
-    /// Durability interval in injected requests: a pause writes the
-    /// unit's checkpoint to disk only once at least this many requests
-    /// were injected since its last one (`0`: at every pause). A crash
-    /// re-runs at most this much of the unit in flight.
-    pub checkpoint_every: u64,
     /// Per-connection read/write deadline. A client that sends nothing
     /// (or reads nothing) for this long is evicted; `None` disables the
     /// deadline (trusted-network mode).
@@ -127,26 +124,36 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 8 active jobs, 1 000-request quantum, a durable
-    /// checkpoint every 50 000 requests, 30 s client deadline, 1 024-event
-    /// subscriber buffers, no GC.
-    ///
-    /// One checkpoint write (~0.5 ms with its fsyncs) against the ~60 ms
-    /// it takes to simulate 50 000 requests keeps durability under 1% of
-    /// a long unit's time.
+    /// Defaults: 8 active jobs, 1 000-request quantum, 30 s client
+    /// deadline, 1 024-event subscriber buffers, no GC.
     #[must_use]
     pub fn new(store: impl Into<PathBuf>) -> Self {
         Self {
             store: store.into(),
             max_jobs: 8,
             quantum: 1_000,
-            checkpoint_every: 50_000,
             client_timeout: Some(Duration::from_secs(30)),
             subscriber_buffer: 1024,
             retain: None,
         }
     }
+
+    /// The durability interval in injected requests: 50 quanta (50 000
+    /// at the default quantum). A pause writes the unit's checkpoint to
+    /// disk only once at least this many requests were injected since
+    /// its last one, so a crash re-runs at most this much of the unit in
+    /// flight.
+    #[must_use]
+    pub fn checkpoint_every(&self) -> u64 {
+        self.quantum.saturating_mul(CHECKPOINT_QUANTA)
+    }
 }
+
+/// Quanta between a parked unit's durable checkpoints. One checkpoint
+/// write (~0.5 ms with its fsyncs) against the ~60 ms it takes to
+/// simulate 50 quanta of 1 000 requests keeps durability under 1% of a
+/// long unit's time.
+const CHECKPOINT_QUANTA: u64 = 50;
 
 /// Everything the daemon knows about one job.
 struct JobState {
@@ -432,7 +439,7 @@ impl Server {
         loop {
             // Pick the next (job, unit) under the lock, taking its parked
             // state — or, for a unit's first slice, what starting it needs.
-            let (id, unit, work, snap) = {
+            let (id, unit, work, snap, quantum) = {
                 let mut st = self.lock();
                 loop {
                     // Degraded: the store owes us a commit (or at least a
@@ -472,12 +479,24 @@ impl Server {
                         st.running = Some((id.clone(), unit));
                         sync_queue_gauges(&self.inner.metrics, &st);
                         let snap = JobStore::unit_snap(&st.store.job_dir(&id), unit);
+                        // A fresh observed unit runs whole while another
+                        // observed unit is parked: its trace grows with
+                        // every request, so parking one per job would
+                        // hold up to `max_jobs` partial traces at once.
+                        let js = &st.jobs[&id];
+                        let whole = js.stored.epochs > 0
+                            && js.parked.is_none()
+                            && st
+                                .jobs
+                                .values()
+                                .any(|j| j.parked.as_ref().is_some_and(|p| p.is_observed()));
+                        let quantum = (!whole).then_some(self.inner.cfg.quantum);
                         let js = st.jobs.get_mut(&id).expect("picked above");
                         let work = match js.parked.take() {
                             Some(parked) => Work::Resume(parked),
                             None => Work::Start(js.units[unit].clone(), js.stored.epochs),
                         };
-                        break (id, unit, work, snap);
+                        break (id, unit, work, snap, quantum);
                     }
                     st = self
                         .inner
@@ -496,9 +515,9 @@ impl Server {
                     Work::Resume(parked) => *parked,
                     Work::Start(spec, epochs) => InFlight::start(spec, epochs, &snap),
                 };
-                match unit.slice(cfg.quantum) {
+                match unit.slice(quantum) {
                     SliceOutcome::Paused { .. } => {
-                        let checkpoint = unit.checkpoint(&snap, cfg.checkpoint_every);
+                        let checkpoint = unit.checkpoint(&snap, cfg.checkpoint_every());
                         Unit::Paused(Box::new(unit), checkpoint)
                     }
                     SliceOutcome::Done(m) => Unit::Done(m, unit.finish()),
@@ -585,7 +604,7 @@ impl Server {
             return Ok(());
         };
         let snap = JobStore::unit_snap(&dir, unit);
-        if let Some(took) = parked.checkpoint(&snap, self.inner.cfg.checkpoint_every)? {
+        if let Some(took) = parked.checkpoint(&snap, self.inner.cfg.checkpoint_every())? {
             self.inner
                 .metrics
                 .store_fsync("checkpoint")

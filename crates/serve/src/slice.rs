@@ -68,12 +68,19 @@ impl InFlight {
     }
 
     /// Runs the unit until it completes or reaches the first request
-    /// boundary at or past `quantum` more injections.
-    pub fn slice(&mut self, quantum: u64) -> SliceOutcome {
+    /// boundary at or past `quantum` more injections (`None`: until it
+    /// completes).
+    pub fn slice(&mut self, quantum: Option<u64>) -> SliceOutcome {
         match &mut self.sim {
-            Sim::Plain(r) => r.slice(Some(r.injected() + quantum)),
-            Sim::Observed(r) => r.slice(Some(r.injected() + quantum)),
+            Sim::Plain(r) => r.slice(quantum.map(|q| r.injected() + q)),
+            Sim::Observed(r) => r.slice(quantum.map(|q| r.injected() + q)),
         }
+    }
+
+    /// Whether the unit carries observability probes.
+    #[must_use]
+    pub fn is_observed(&self) -> bool {
+        matches!(self.sim, Sim::Observed(_))
     }
 
     /// Writes the paused unit's snapshot atomically to `snap` if at

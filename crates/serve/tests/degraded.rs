@@ -201,8 +201,10 @@ fn a_failed_checkpoint_write_degrades_the_daemon_and_costs_the_unit_nothing() {
     let root = tmp("ckpt");
     let store = root.join("store");
     let mut cfg = ServeConfig::new(&store);
-    cfg.quantum = 1_000;
-    cfg.checkpoint_every = cfg.quantum;
+    // A durable checkpoint at 2 500 injections of each 5 000-request
+    // unit.
+    cfg.quantum = 50;
+    assert_eq!(cfg.checkpoint_every(), 2_500);
     let (addr, server) = spawn(cfg);
     let c = campaign("sweep");
     let (want, want_journal) = reference(&c, &root.join("ref"));

@@ -689,9 +689,9 @@ fn durable_checkpoints_follow_the_durability_interval() {
     let root = tmp("durable");
     let c = campaign("sweep");
     let mut cfg = ServeConfig::new(root.join("store"));
-    cfg.quantum = 700;
-    cfg.checkpoint_every = 3 * cfg.quantum;
-    let want = replayed_checkpoints(&root.join("replay"), &c, 700, 2_100);
+    cfg.quantum = 40;
+    assert_eq!(cfg.checkpoint_every(), 50 * cfg.quantum);
+    let want = replayed_checkpoints(&root.join("replay"), &c, 40, 2_000);
     assert_eq!(want, 6, "two durable checkpoints per 5 000-request unit");
     assert_eq!(durable_checkpoints(&root, &c, cfg), want);
 
@@ -699,7 +699,7 @@ fn durable_checkpoints_follow_the_durability_interval() {
     // exactly one durable checkpoint.
     let long = Campaign::new("long", 5).read_pcts([67]).requests([100_000]);
     let cfg = ServeConfig::new(root.join("store-long"));
-    assert_eq!((cfg.quantum, cfg.checkpoint_every), (1_000, 50_000));
+    assert_eq!((cfg.quantum, cfg.checkpoint_every()), (1_000, 50_000));
     assert_eq!(durable_checkpoints(&root.join("long"), &long, cfg), 1);
 }
 
@@ -806,4 +806,52 @@ fn observed_units_are_preempted_and_stream_run_job_observeds_artifacts() {
         ),
         0
     );
+}
+
+#[test]
+fn a_second_observed_unit_runs_whole_while_one_is_parked() {
+    use dramctrl_campaign::runner::run_job_observed;
+    use std::time::{Duration, Instant};
+    let root = tmp("observed-bound");
+    let (addr, _http, server) = spawn_daemon_http(root.join("store"), 100);
+    let long = Campaign::new("obs-long", 9)
+        .read_pcts([50])
+        .requests([40_000]);
+    let other = Campaign::new("obs-other", 3)
+        .read_pcts([0])
+        .requests([3_000]);
+    let epochs = 1_000_000;
+
+    let mut ka = Client::connect(&addr).unwrap();
+    let (ia, _) = ka.submit("alice", epochs, &long).unwrap();
+    // Submit carol's observed job once alice's unit is parked.
+    let preemptions = || {
+        sample(
+            &server.metrics_exposition(),
+            "dramctrl_sched_preemptions_total",
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while preemptions() == 0 {
+        assert!(Instant::now() < deadline, "alice's unit never paused");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut kc = Client::connect(&addr).unwrap();
+    let (ic, _) = kc.submit("carol", epochs, &other).unwrap();
+
+    for (client, id, c) in [(&mut kc, &ic, &other), (&mut ka, &ia, &long)] {
+        let mut stats = None;
+        client
+            .watch(id, |v, _| {
+                if v.get("event").and_then(Value::as_str) == Some("stats") {
+                    stats = v.get("text").and_then(Value::as_str).map(str::to_owned);
+                }
+            })
+            .unwrap();
+        let (_, want) = run_job_observed(&c.expand()[0], epochs);
+        assert_eq!(stats.as_deref(), Some(want.stats_json.as_str()));
+    }
+    // Alice's unit pauses at 100, 200, …, 39 900; carol's never does:
+    // it starts while alice's is parked, so it runs whole.
+    assert_eq!(preemptions(), 399);
 }
